@@ -6,8 +6,6 @@ package onlineindex_test
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +17,6 @@ import (
 	"onlineindex/internal/extsort"
 	"onlineindex/internal/harness"
 	"onlineindex/internal/vfs"
-	"onlineindex/internal/wal"
 	"onlineindex/internal/workload"
 )
 
@@ -275,63 +272,6 @@ func BenchmarkDML(b *testing.B) {
 		}
 	}
 	_ = rids
-}
-
-// BenchmarkCommitThroughput measures committed transactions per second with
-// N concurrent writers on a MemFS that charges a realistic fsync latency
-// (experiments.CommitSyncLatency per Sync). group is the WAL's group-commit
-// path; serial is the pre-group-commit baseline that holds the log mutex
-// across WriteAt+Sync, so its 16-writer line shows the fsync convoy the
-// group path exists to break. `benchtab -commitbench` records the same
-// measurement (driven by workload.Runner during a live SF build) into
-// BENCH_build.json.
-func BenchmarkCommitThroughput(b *testing.B) {
-	for _, serial := range []bool{false, true} {
-		mode := "group"
-		if serial {
-			mode = "serial"
-		}
-		for _, workers := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/writers=%d", mode, workers), func(b *testing.B) {
-				fs := vfs.NewMemFS()
-				db, err := engine.Open(engine.Config{FS: fs, PoolSize: 4096, SerialCommitForce: serial})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := db.CreateTable("orders", workload.Schema()); err != nil {
-					b.Fatal(err)
-				}
-				fs.SetSyncLatency(experiments.CommitSyncLatency, wal.LogFileName)
-				b.ResetTimer()
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							i := next.Add(1)
-							if i > int64(b.N) {
-								return
-							}
-							tx := db.Begin()
-							if _, err := db.Insert(tx, "orders", workload.RowOf(i, 24)); err != nil {
-								b.Error(err)
-								tx.Rollback() //nolint:errcheck
-								return
-							}
-							if err := tx.Commit(); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "commits/s")
-			})
-		}
-	}
 }
 
 // TestExperimentsSmoke runs every experiment at a small scale so the full

@@ -7,168 +7,26 @@
 //	benchtab -run E4,E5           # run a subset
 //	benchtab -scale 0.2           # shrink table sizes for a quick pass
 //	benchtab -workers 4           # scan-pipeline workers for build experiments
-//	benchtab -buildbench 200000   # worker-scaling build benchmark; writes
-//	                              # BENCH_build.json (workers 1 and -workers N)
-//	benchtab -commitbench         # multi-writer commit-throughput benchmark
-//	                              # (group commit vs serial Force); merges a
-//	                              # commit_tps record into BENCH_build.json
-//	benchtab -sortbench 200000    # partitioned sort + merge→load overlap
-//	                              # benchmark; merges sortbench records into
-//	                              # BENCH_build.json
-//	benchtab -concbench           # buffer/lock/WAL contention matrix
-//	                              # (shards×stripes at 8 goroutines); merges a
-//	                              # concbench record into BENCH_build.json
-//	benchtab -readbench 20000     # read-path throughput matrix (point/range/
-//	                              # seqscan, quiescent and during a live SF
-//	                              # build) on a table of this many rows;
-//	                              # merges a readbench record into
-//	                              # BENCH_build.json
-//	benchtab -partbench 20000     # horizontal-partitioning matrix: fan-out SF
-//	                              # build time and routed read mix at P in
-//	                              # {1,2,4} shards (-partitions adds one more
-//	                              # count, -partition-scheme picks range|hash);
-//	                              # merges a partbench record into
-//	                              # BENCH_build.json
-//	benchtab -diskbench 10000000  # on-disk (OSFS) build matrix at this many
-//	                              # rows (-scale sizes it down, -dir picks the
-//	                              # scratch directory, -variant tags the
-//	                              # records baseline|optimized); merges
-//	                              # diskbench records into BENCH_build.json.
-//	                              # -cpuprofile/-memprofile capture pprof
-//	                              # profiles of the build matrix, summarized
-//	                              # by scripts/analyze_profile.sh
+//	benchtab -list                # list experiments and exit
 //
-// The benchmark modes all merge into -out rather than clobbering each
-// other's records: build records carry no "kind" field, the commit record
-// carries "kind": "commit_tps", sort records carry "kind": "sortbench", the
-// contention record carries "kind": "concbench", the read record carries
-// "kind": "readbench", and each mode replaces only its own.
+// The repository's benchmark (build rate, DML latency during builds, reads
+// beside writes, restart) lives in bench/; see bench/README.md.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"onlineindex/internal/experiments"
 )
 
-// mergeRecords rewrites the JSON array at path, dropping existing entries
-// whose "kind" field equals kind (build records have none, so kind "" drops
-// them) and appending recs. A missing file starts from an empty array, so
-// either benchmark mode can run first.
-func mergeRecords(path, kind string, recs []any) error {
-	var kept []any
-	if data, err := os.ReadFile(path); err == nil {
-		var existing []map[string]any
-		if err := json.Unmarshal(data, &existing); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		for _, r := range existing {
-			k, _ := r["kind"].(string)
-			if k != kind {
-				kept = append(kept, r)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	kept = append(kept, recs...)
-	data, err := json.MarshalIndent(kept, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// mergeDiskRecords is mergeRecords for the diskbench mode, which keeps one
-// record set per variant: a "-variant optimized" run must not erase the
-// "-variant baseline" rows it is being compared against, so only records
-// matching both kind and variant are replaced.
-func mergeDiskRecords(path, variant string, recs []any) error {
-	var kept []any
-	if data, err := os.ReadFile(path); err == nil {
-		var existing []map[string]any
-		if err := json.Unmarshal(data, &existing); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		for _, r := range existing {
-			k, _ := r["kind"].(string)
-			v, _ := r["variant"].(string)
-			if k != "diskbench" || v != variant {
-				kept = append(kept, r)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	kept = append(kept, recs...)
-	data, err := json.MarshalIndent(kept, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// startProfiles begins CPU profiling to cpuPath (if non-empty) and returns a
-// stop function that finishes the CPU profile and writes a heap profile to
-// memPath (if non-empty). Either path may be empty independently.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: heap profile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: heap profile: %v\n", err)
-			}
-		}
-	}, nil
-}
-
 func main() {
 	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	scale := flag.Float64("scale", 1.0, "table-size scale factor")
 	workers := flag.Int("workers", 1, "scan-pipeline key-extraction workers (core.Options.ScanWorkers)")
-	buildBench := flag.Int("buildbench", 0, "run the build benchmark on a table of this many rows and merge into -out (skips experiments)")
-	commitBench := flag.Bool("commitbench", false, "run the commit-throughput benchmark and merge a commit_tps record into -out (skips experiments)")
-	sortBench := flag.Int("sortbench", 0, "run the partitioned-sort benchmark on a table of this many rows and merge sortbench records into -out (skips experiments)")
-	concBench := flag.Bool("concbench", false, "run the buffer/lock/WAL contention benchmark and merge a concbench record into -out (skips experiments)")
-	readBench := flag.Int("readbench", 0, "run the read-path benchmark on a table of this many rows and merge a readbench record into -out (skips experiments)")
-	partBench := flag.Int("partbench", 0, "run the horizontal-partitioning benchmark (P in {1,2,4}) on a table of this many rows and merge a partbench record into -out (skips experiments)")
-	partitions := flag.Int("partitions", 0, "extra partition count to add to the -partbench sweep")
-	partScheme := flag.String("partition-scheme", "hash", "partitioning scheme for -partbench: range or hash")
-	diskBench := flag.Int("diskbench", 0, "run the on-disk (OSFS) build matrix on a table of this many rows (scaled by -scale) and merge diskbench records into -out (skips experiments)")
-	dir := flag.String("dir", "", "scratch directory for -diskbench (default: a fresh os.MkdirTemp dir, removed afterwards)")
-	variant := flag.String("variant", "optimized", "variant tag for -diskbench records (baseline|optimized); each variant's records replace only their own")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the -diskbench build matrix to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the -diskbench build matrix to this file")
-	out := flag.String("out", "BENCH_build.json", "output path for the -buildbench/-commitbench JSON records")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
@@ -180,139 +38,6 @@ func main() {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Workers: *workers, Out: os.Stdout}
-
-	if *buildBench > 0 {
-		// Compare serial against the requested worker count (one record per
-		// method and worker count) and emit machine-readable results.
-		counts := []int{1}
-		if *workers > 1 {
-			counts = append(counts, *workers)
-		}
-		recs, err := experiments.BuildBench(cfg, *buildBench, counts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: buildbench failed: %v\n", err)
-			os.Exit(1)
-		}
-		anys := make([]any, len(recs))
-		for i := range recs {
-			anys[i] = recs[i]
-		}
-		// Build records are the ones without a "kind" discriminator.
-		if err := mergeRecords(*out, "", anys); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged %d build records into %s\n", len(recs), *out)
-		return
-	}
-
-	if *diskBench > 0 {
-		scratch := *dir
-		if scratch == "" {
-			tmp, err := os.MkdirTemp("", "onlineindex-diskbench-*")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(tmp)
-			scratch = tmp
-		}
-		stop, err := startProfiles(*cpuProfile, *memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: profile: %v\n", err)
-			os.Exit(1)
-		}
-		recs, err := experiments.DiskBench(cfg, *diskBench, scratch, *variant)
-		stop()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: diskbench failed: %v\n", err)
-			os.Exit(1)
-		}
-		anys := make([]any, len(recs))
-		for i := range recs {
-			anys[i] = recs[i]
-		}
-		if err := mergeDiskRecords(*out, *variant, anys); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged %d diskbench (%s) records into %s\n", len(recs), *variant, *out)
-		return
-	}
-
-	if *sortBench > 0 {
-		recs, err := experiments.SortBench(cfg, *sortBench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: sortbench failed: %v\n", err)
-			os.Exit(1)
-		}
-		anys := make([]any, len(recs))
-		for i := range recs {
-			anys[i] = recs[i]
-		}
-		if err := mergeRecords(*out, "sortbench", anys); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged %d sortbench records into %s\n", len(recs), *out)
-		return
-	}
-
-	if *readBench > 0 {
-		rec, err := experiments.ReadBench(cfg, *readBench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: readbench failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeRecords(*out, rec.Kind, []any{rec}); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged readbench record into %s\n", *out)
-		return
-	}
-
-	if *partBench > 0 {
-		rec, err := experiments.PartBench(cfg, *partScheme, *partBench, *partitions)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: partbench failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeRecords(*out, rec.Kind, []any{rec}); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged partbench record into %s\n", *out)
-		return
-	}
-
-	if *concBench {
-		rec, err := experiments.ConcBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: concbench failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeRecords(*out, rec.Kind, []any{rec}); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged concbench record into %s\n", *out)
-		return
-	}
-
-	if *commitBench {
-		rec, err := experiments.CommitBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: commitbench failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeRecords(*out, rec.Kind, []any{rec}); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged commit_tps record into %s\n", *out)
-		return
-	}
 
 	var selected []experiments.Experiment
 	if *run == "" {

@@ -14,15 +14,19 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"onlineindex"
+	"onlineindex/internal/engine"
 	"onlineindex/internal/harness"
+	"onlineindex/internal/vfs"
 	"onlineindex/internal/workload"
 )
 
@@ -31,7 +35,7 @@ func main() {
 	method := flag.String("method", "sf", "build method: offline | nsf | sf")
 	updaters := flag.Int("updaters", 4, "concurrent update workers during the build")
 	unique := flag.Bool("unique", false, "build a unique index (on the id column)")
-	crash := flag.Bool("crash", false, "crash mid-build, then recover and resume")
+	crash := flag.Bool("crash", false, "crash at the build's first checkpoint, then recover and resume")
 	sortSF := flag.Bool("sortsf", false, "apply the side-file sorted (SF only)")
 	workers := flag.Int("workers", 0, "parallel key-extraction workers for the scan pipeline (0 = serial)")
 	sortParts := flag.Int("sort-partitions", 0, "parallel sort partitions behind the scan (0/1 = serial sorter)")
@@ -199,18 +203,25 @@ func rebindAdmin(db *onlineindex.DB) {
 	}
 }
 
+// buildWithCrash fails the system at the build's first committed builder
+// checkpoint, then runs restart recovery and finishes the build from that
+// checkpoint. Crashing from the checkpoint hook rather than on a timer means
+// the crash always lands after the index descriptor is durable and before
+// the build completes, however fast the host is.
 func buildWithCrash(cfg onlineindex.Config, db *onlineindex.DB, spec onlineindex.IndexSpec, opts onlineindex.BuildOptions, partitioned bool) (*onlineindex.BuildResult, error) {
 	currentDB = db
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer func() { recover() }()
-		db.BuildIndex(spec, opts) //nolint:errcheck // interrupted by the crash
-	}()
-	time.Sleep(80 * time.Millisecond)
-	db.Crash()
-	<-done
-	fmt.Println("CRASH injected; recovering...")
+	// The fan-out build checkpoints its shards concurrently; the first one
+	// to get here pulls the plug, the rest find the system already down.
+	var once sync.Once
+	crashing := opts
+	crashing.OnCheckpoint = func(engine.IBPhase) error {
+		once.Do(func() { db.Crash() })
+		return vfs.ErrCrashed
+	}
+	if _, err := db.BuildIndex(spec, crashing); !errors.Is(err, vfs.ErrCrashed) {
+		return nil, fmt.Errorf("build was not interrupted at its first checkpoint: %v", err)
+	}
+	fmt.Println("CRASH injected at the first builder checkpoint; recovering...")
 	if partitioned {
 		// Partitioned recovery is coordinator-driven: Recover resumes the
 		// checkpointed shard builds, rebuilds shards whose descriptors never
@@ -235,17 +246,19 @@ func buildWithCrash(cfg onlineindex.Config, db *onlineindex.DB, spec onlineindex
 	}
 	currentDB = db2
 	rebindAdmin(db2)
+	if spec.Method == onlineindex.Offline {
+		// The offline baseline is not restartable: recovery cancelled it.
+		fmt.Println("recovery cancelled the offline build; rebuilding from scratch")
+		return db2.BuildIndex(spec, opts)
+	}
 	pending, err := db2.PendingBuilds()
 	if err != nil {
 		return nil, err
 	}
-	if len(pending) == 0 {
-		fmt.Println("crash preceded the descriptor; rebuilding from scratch")
-		return db2.BuildIndex(spec, opts)
+	if len(pending) != 1 {
+		return nil, fmt.Errorf("%d interrupted builds after restart, want 1", len(pending))
 	}
 	pb := pending[0]
-	if pb.State != nil {
-		fmt.Printf("resuming from checkpointed phase %q\n", pb.State.Phase)
-	}
+	fmt.Printf("resuming from checkpointed phase %q\n", pb.State.Phase)
 	return db2.ResumeBuild(pb, opts)
 }

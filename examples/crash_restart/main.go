@@ -4,11 +4,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
 
 	"onlineindex"
+	"onlineindex/internal/engine"
+	"onlineindex/internal/vfs"
 )
 
 func main() {
@@ -35,20 +38,19 @@ func main() {
 	}
 	fmt.Printf("populated %d rows\n", rows)
 
-	// Start an SF build with frequent checkpoints, then pull the plug while
-	// it runs.
+	// Start an SF build with frequent checkpoints and pull the plug right
+	// after the builder's first durable checkpoint.
 	opts := onlineindex.BuildOptions{CheckpointPages: 16, CheckpointKeys: 4000}
-	done := make(chan error, 1)
-	go func() {
-		defer func() { recover() }() // the simulated power cut fails the builder
-		_, err := db.BuildIndex(onlineindex.IndexSpec{
-			Name: "big_by_key", Table: "big", Columns: []string{"key"}, Method: onlineindex.SF,
-		}, opts)
-		done <- err
-	}()
-	time.Sleep(60 * time.Millisecond) // let the build make progress
-	db.Crash()
-	<-done
+	crashing := opts
+	crashing.OnCheckpoint = func(engine.IBPhase) error {
+		db.Crash()
+		return vfs.ErrCrashed
+	}
+	if _, err := db.BuildIndex(onlineindex.IndexSpec{
+		Name: "big_by_key", Table: "big", Columns: []string{"key"}, Method: onlineindex.SF,
+	}, crashing); !errors.Is(err, vfs.ErrCrashed) {
+		log.Fatalf("build was not interrupted by the crash: %v", err)
+	}
 	fmt.Println("CRASH: power cut mid-build; volatile state gone")
 
 	// Restart: recovery repairs the engine, then the pending build resumes
@@ -64,30 +66,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch len(pending) {
-	case 0:
-		fmt.Println("crash happened before the build descriptor was durable; rebuilding from scratch")
-		if _, err := db2.BuildIndex(onlineindex.IndexSpec{
-			Name: "big_by_key", Table: "big", Columns: []string{"key"}, Method: onlineindex.SF,
-		}, opts); err != nil {
-			log.Fatal(err)
-		}
-	case 1:
-		pb := pending[0]
-		if pb.State != nil {
-			fmt.Printf("resuming build of %q from checkpointed phase %q\n", pb.Index.Name, pb.State.Phase)
-		} else {
-			fmt.Printf("resuming build of %q (no checkpoint reached; scan restarts)\n", pb.Index.Name)
-		}
-		res, err := db2.ResumeBuild(pb, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("resume re-extracted %d of %d keys (work before the last checkpoint was preserved)\n",
-			res.Stats.KeysExtracted, rows)
-	default:
+	if len(pending) != 1 {
 		log.Fatalf("unexpected pending builds: %d", len(pending))
 	}
+	pb := pending[0]
+	fmt.Printf("resuming build of %q from checkpointed phase %q\n", pb.Index.Name, pb.State.Phase)
+	res, err := db2.ResumeBuild(pb, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("resume re-extracted %d of %d keys (work before the last checkpoint was preserved)\n",
+		res.Stats.KeysExtracted, rows)
 
 	if err := db2.CheckIndexConsistency("big_by_key"); err != nil {
 		log.Fatal(err)

@@ -81,8 +81,8 @@ type sep struct {
 // split logic is oblivious to compression except through the size helpers.
 type Node struct {
 	page.Header
-	leaf bool
-	comp bool   // keys are prefix-truncated against `prefix` on disk
+	leaf   bool
+	comp   bool   // keys are prefix-truncated against `prefix` on disk
 	prefix []byte // per-page common prefix (comp only; prefix of every key)
 
 	// leaf fields

@@ -50,7 +50,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Inserts: s.Inserts.Load(), Noops: s.Noops.Load(),
 		Reactivates: s.Reactivates.Load(), PseudoDeletes: s.PseudoDeletes.Load(),
 		Tombstones: s.Tombstones.Load(), IBSkips: s.IBSkips.Load(),
-		Removes: s.Removes.Load(),
+		Removes:     s.Removes.Load(),
 		ScanResumes: s.ScanResumes.Load(), ScanLeaves: s.ScanLeaves.Load(),
 	}
 }

@@ -80,7 +80,8 @@ func TestCompressedBuildDifferential(t *testing.T) {
 	// The tentpole's end-to-end oracle: for every build method, unique and
 	// non-unique, a compressed build over an identical history must produce
 	// an index with exactly the same entries as an uncompressed one — while
-	// spilling measurably fewer run bytes.
+	// spilling at most 80% of the uncompressed run bytes. Spill sizes are
+	// deterministic byte counts, so the bound needs no quiet machine.
 	for _, method := range []catalog.BuildMethod{catalog.MethodOffline, catalog.MethodNSF, catalog.MethodSF} {
 		for _, unique := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/unique=%v", method, unique), func(t *testing.T) {
@@ -98,11 +99,12 @@ func TestCompressedBuildDifferential(t *testing.T) {
 					t.Fatalf("no spill measured (plain=%d comp=%d); SortMemory too large for the row count",
 						pst.BytesSpilled, cst.BytesSpilled)
 				}
-				if cst.BytesSpilled >= pst.BytesSpilled {
-					t.Fatalf("compression did not shrink the spill: %d >= %d", cst.BytesSpilled, pst.BytesSpilled)
+				pct := 100 * float64(cst.BytesSpilled) / float64(pst.BytesSpilled)
+				if pct > 80 {
+					t.Fatalf("compressed spill is %.1f%% of uncompressed (%d vs %d bytes), want <= 80%%",
+						pct, cst.BytesSpilled, pst.BytesSpilled)
 				}
-				t.Logf("spilled %d vs %d bytes (%.1f%%)", cst.BytesSpilled, pst.BytesSpilled,
-					100*float64(cst.BytesSpilled)/float64(pst.BytesSpilled))
+				t.Logf("spilled %d vs %d bytes (%.1f%%)", cst.BytesSpilled, pst.BytesSpilled, pct)
 			})
 		}
 	}
@@ -137,7 +139,7 @@ func TestCompressedResumeKeepsFormat(t *testing.T) {
 		return nil
 	}
 	func() {
-		defer func() { recover() }() // the dying incarnation may panic on I/O
+		defer func() { recover() }()                              // the dying incarnation may panic on I/O
 		Build(db, spec("by_name", catalog.MethodSF, false), opts) //nolint:errcheck
 	}()
 

@@ -21,7 +21,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"onlineindex/internal/btree"
 	"onlineindex/internal/buffer"
@@ -52,14 +51,6 @@ type Config struct {
 	// nil instrument handles, whose methods are no-ops (the overhead
 	// benchmark compares the two modes).
 	DisableMetrics bool
-	// CommitBatchDelay is the WAL group-commit max batch delay: how long a
-	// flush leader lingers before writing, letting more concurrent
-	// committers ride the same fsync. 0 (the default) flushes immediately;
-	// commit batching then comes only from flushes that overlap in time.
-	CommitBatchDelay time.Duration
-	// SerialCommitForce disables group commit and restores the serial
-	// hold-the-mutex-across-fsync Force. Benchmark baseline only.
-	SerialCommitForce bool
 	// BufferShards is the buffer pool's page-table shard count (rounded up
 	// to a power of two). 0 means min(16, GOMAXPROCS). The deterministic
 	// fault-injection sweep pins it to 1 so I/O schedules replay unchanged.
@@ -68,16 +59,6 @@ type Config struct {
 	// to a power of two). 0 means min(16, GOMAXPROCS); the fault sweep pins
 	// it to 1.
 	LockStripes int
-	// DisableReadCache turns off the hash point-lookup fast path; IndexLookup
-	// then always descends the tree. The deterministic fault sweep pins it
-	// off in legacy scenarios (the cache is memory-only, so this is about
-	// keeping the read code path identical, not about I/O schedules).
-	DisableReadCache bool
-	// ReadCacheSize caps the cached key runs per index (0 = 4096).
-	ReadCacheSize int
-	// DisableZoneMap turns off heap zone-map maintenance and sequential-scan
-	// block pruning.
-	DisableZoneMap bool
 }
 
 // DB is the engine instance.
@@ -161,8 +142,6 @@ func Open(cfg Config) (*DB, error) {
 		zmaps:      make(map[types.TableID]*zonemap.Map),
 	}
 	db.log.SetMetrics(wal.MetricsFrom(reg))
-	db.log.SetBatchDelay(cfg.CommitBatchDelay)
-	db.log.SetSerialForce(cfg.SerialCommitForce)
 	db.pool.SetMetrics(buffer.MetricsFrom(reg, db.pool.Shards()))
 	db.lock.SetMetrics(lock.MetricsFrom(reg, db.lock.Stripes()))
 	db.txns = txn.NewManager(log, db.lock)

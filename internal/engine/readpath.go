@@ -9,11 +9,8 @@ import (
 )
 
 // readCacheOf returns the index's hash point-lookup cache, creating it on
-// first use; nil when the cache is disabled or the index is gone.
+// first use; nil when the index is gone.
 func (db *DB) readCacheOf(id types.IndexID) *readcache.Cache {
-	if db.cfg.DisableReadCache {
-		return nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if rc, ok := db.rcaches[id]; ok {
@@ -22,7 +19,7 @@ func (db *DB) readCacheOf(id types.IndexID) *readcache.Cache {
 	if _, ok := db.trees[id]; !ok {
 		return nil // dropped underneath us; don't resurrect state for it
 	}
-	rc := readcache.New(db.cfg.ReadCacheSize, readcache.MetricsFrom(db.met, "readcache"))
+	rc := readcache.New(0, readcache.MetricsFrom(db.met, "readcache"))
 	db.rcaches[id] = rc
 	return rc
 }
@@ -54,11 +51,9 @@ func (db *DB) invalidateKeyByFile(f types.FileID, key []byte) {
 	}
 }
 
-// zoneMapOf returns the table's zone-map sidecar, or nil when disabled.
+// zoneMapOf returns the table's zone-map sidecar, or nil if none is
+// installed.
 func (db *DB) zoneMapOf(id types.TableID) *zonemap.Map {
-	if db.cfg.DisableZoneMap {
-		return nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.zmaps[id]
@@ -66,11 +61,8 @@ func (db *DB) zoneMapOf(id types.TableID) *zonemap.Map {
 
 // installZoneMap creates the table's zone map and hooks it into the heap's
 // mutation observer. Called wherever a heap is opened (CreateTable and
-// recovery); a no-op when zone maps are disabled.
+// recovery).
 func (db *DB) installZoneMap(id types.TableID, h *heap.Table) {
-	if db.cfg.DisableZoneMap {
-		return
-	}
 	zm := zonemap.New(zonemap.DefaultBlockPages, zonemap.MetricsFrom(db.met, "zonemap"))
 	db.mu.Lock()
 	db.zmaps[id] = zm

@@ -109,13 +109,7 @@ const tableName = "orders"
 
 // setup opens a DB with a populated orders table.
 func setup(rows int) (*engine.DB, []types.RID, error) {
-	return setupMetrics(rows, false)
-}
-
-// setupMetrics is setup with the metrics registry optionally disabled (the
-// baseline configuration the overhead measurement compares against).
-func setupMetrics(rows int, disableMetrics bool) (*engine.DB, []types.RID, error) {
-	db, err := engine.Open(engine.Config{FS: vfs.NewMemFS(), PoolSize: 4096, DisableMetrics: disableMetrics})
+	db, err := engine.Open(engine.Config{FS: vfs.NewMemFS(), PoolSize: 4096})
 	if err != nil {
 		return nil, nil, err
 	}

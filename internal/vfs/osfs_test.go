@@ -129,57 +129,3 @@ func TestOSFSHandlesAliasOneInode(t *testing.T) {
 		t.Fatalf("handle b read %q", got)
 	}
 }
-
-// TestOSFSCoalescedDurableReopen is the end-to-end slice for the diskbench
-// I/O stack: small writes through CoalescingFS(OSFS), Sync, close every
-// handle, then reopen through a brand-new OSFS (fresh fd, no shared state)
-// and verify every byte landed. Sync flushing the pending buffer before
-// fsync is exactly the property that keeps the engine's durability contract
-// intact under coalescing.
-func TestOSFSCoalescedDurableReopen(t *testing.T) {
-	dir := t.TempDir()
-	osfs, err := NewOSFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := NewCoalescingFS(osfs, 1<<15)
-	f, err := fs.Create("wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	for i := 0; i < 500; i++ {
-		rec := bytes.Repeat([]byte{byte(i * 7)}, 53)
-		if _, err := f.WriteAt(rec, int64(len(want))); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rec...)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reopened, err := NewOSFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := reopened.Open("wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	sz, err := g.Size()
-	if err != nil || sz != int64(len(want)) {
-		t.Fatalf("reopened size = %d, %v; want %d", sz, err, len(want))
-	}
-	got := make([]byte, sz)
-	if _, err := g.ReadAt(got, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("durable bytes diverge from the coalesced write sequence")
-	}
-}

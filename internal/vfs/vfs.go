@@ -117,10 +117,6 @@ type MemFS struct {
 	// latency plus a transfer time per byte. Zero means instantaneous.
 	opLatency time.Duration
 	nsPerByte float64
-	// Simulated flush-barrier cost (see SetSyncLatency). When
-	// syncLatencyOnly is non-nil, only Syncs of the named files pay it.
-	syncLatency     time.Duration
-	syncLatencyOnly map[string]struct{}
 }
 
 // IOStats counts simulated I/O operations performed against a MemFS.
@@ -158,30 +154,6 @@ func (fs *MemFS) SetLatency(opLatency time.Duration, bytesPerSecond float64) {
 // held; the caller sleeps after unlocking).
 func (fs *MemFS) simulate(n int) time.Duration {
 	return fs.opLatency + time.Duration(float64(n)*fs.nsPerByte)
-}
-
-// SetSyncLatency configures a simulated flush-barrier cost: every Sync
-// sleeps d after applying its copy. SetLatency models only data transfer
-// (ReadAt/WriteAt); the commit-throughput experiments model fsync
-// separately, because amortizing that barrier across committers is group
-// commit's whole point. As with SetLatency, the sleep happens outside the
-// file-system mutex.
-//
-// When file names are given, only Syncs of those files pay the latency.
-// The commit benchmarks charge wal.LogFileName alone: the commit fsync is
-// the barrier group commit amortizes, whereas slowing every spill file and
-// index page flush just moves the bottleneck somewhere unrelated.
-func (fs *MemFS) SetSyncLatency(d time.Duration, only ...string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.syncLatency = d
-	fs.syncLatencyOnly = nil
-	if len(only) > 0 {
-		fs.syncLatencyOnly = make(map[string]struct{}, len(only))
-		for _, name := range only {
-			fs.syncLatencyOnly[name] = struct{}{}
-		}
-	}
 }
 
 // Stats returns a snapshot of the I/O counters.
@@ -439,8 +411,8 @@ func (h *memHandle) Size() (int64, error) {
 
 func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
 	if err := h.check(); err != nil {
-		h.fs.mu.Unlock()
 		return err
 	}
 	h.fs.stats.Syncs++
@@ -457,16 +429,6 @@ func (h *memHandle) Sync() error {
 	f.shrunk = false
 	f.dirtyLo, f.dirtyHi = cleanLo, 0
 	f.synced = true
-	delay := h.fs.syncLatency
-	if h.fs.syncLatencyOnly != nil {
-		if _, ok := h.fs.syncLatencyOnly[f.name]; !ok {
-			delay = 0
-		}
-	}
-	h.fs.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	return nil
 }
 

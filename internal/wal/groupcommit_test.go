@@ -399,53 +399,3 @@ func assertLogRecords(t *testing.T, l *Log, n int) {
 		t.Fatalf("log holds %d records, want %d", count, n)
 	}
 }
-
-// TestBatchDelayAccumulates: with a max batch delay, committers arriving
-// during the leader's linger ride its epoch — one sync for all of them even
-// though no flush was in flight when they appended.
-func TestBatchDelayAccumulates(t *testing.T) {
-	fs := vfs.NewMemFS()
-	l, err := Open(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetBatchDelay(50 * time.Millisecond)
-	base := fs.Stats().Syncs
-
-	const committers = 4
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make([]error, committers)
-	for i := 0; i < committers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lsn, err := l.Append(rec(types.TxnID(i + 1)))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if i == 0 {
-				close(start) // the first committer leads; the rest pile in
-			} else {
-				<-start
-				time.Sleep(5 * time.Millisecond) // land inside the linger
-			}
-			errs[i] = l.Force(lsn)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("committer %d: %v", i, err)
-		}
-	}
-	if got, want := l.FlushedLSN(), l.NextLSN(); got != want {
-		t.Fatalf("FlushedLSN = %d, want %d", got, want)
-	}
-	// Timing gives at most 2 flushes (commonly 1); the point is that four
-	// committers did not cost four syncs.
-	if got := fs.Stats().Syncs - base; got > 2 {
-		t.Fatalf("4 committers under a 50ms batch delay cost %d syncs", got)
-	}
-}

@@ -21,8 +21,6 @@ var (
 )
 
 // LogFileName and masterFileName are the fixed file names on the VFS.
-// LogFileName is exported so benchmarks can charge a simulated fsync cost to
-// the log file alone (vfs.MemFS.SetSyncLatency's filter).
 const (
 	LogFileName    = "wal.log"
 	masterFileName = "wal.master"
@@ -73,10 +71,8 @@ type Log struct {
 	// allocations (decodeRecord copies the payload out, so reuse is safe).
 	readBuf []byte
 
-	flushing   bool        // a leader is (or is about to be) flushing
-	curEpoch   *flushEpoch // epoch accepting waiters; nil unless flushing
-	batchDelay time.Duration
-	serial     bool // legacy serial-Force path (benchmark baseline)
+	flushing bool        // a leader is flushing
+	curEpoch *flushEpoch // epoch accepting waiters; nil unless flushing
 
 	ctr walCounters
 	met Metrics
@@ -123,10 +119,7 @@ type typeCounters struct {
 type flushEpoch struct {
 	done chan struct{}
 	err  error
-	// end is the first LSN NOT covered by this epoch. Zero while the leader
-	// is still accumulating (batch-delay window): joiners' targets are
-	// covered by construction, because the leader seals the append segment
-	// after they joined.
+	// end is the first LSN NOT covered by this epoch.
 	end     types.LSN
 	waiters uint64 // batch size: leader + parked waiters
 }
@@ -170,25 +163,6 @@ func (l *Log) SetMetrics(m Metrics) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.met = m
-}
-
-// SetBatchDelay sets the group-commit max batch delay: how long a flush
-// leader lingers before sealing the append segment, letting more committers
-// pile into its epoch. Zero (the default) flushes immediately; latency is
-// then bounded by the in-flight fsync alone. Call before concurrent use.
-func (l *Log) SetBatchDelay(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.batchDelay = d
-}
-
-// SetSerialForce switches Force to the pre-group-commit serial path that
-// holds the log mutex across WriteAt+Sync. It exists only as the baseline for
-// BenchmarkCommitThroughput; leave it off otherwise.
-func (l *Log) SetSerialForce(on bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.serial = on
 }
 
 // Stats aggregates log-volume counters, reported by experiment E5 (the
@@ -489,9 +463,6 @@ func (l *Log) ForceAll() error {
 // forceLocked makes every LSN < target durable. Called and returns with l.mu
 // held; parks (mutex released) while waiting on an in-flight epoch.
 func (l *Log) forceLocked(target types.LSN) error {
-	if l.serial {
-		return l.serialForceLocked(target)
-	}
 	for {
 		if l.flushed >= target {
 			return nil // already durable
@@ -502,7 +473,7 @@ func (l *Log) forceLocked(target types.LSN) error {
 			return l.leadFlush()
 		}
 		ep := l.curEpoch
-		if ep.end != 0 && target > ep.end {
+		if target > ep.end {
 			// The in-flight flush stops short of target. Wait for it to
 			// retire (off-mutex), then go around: we'll lead the next
 			// epoch or join one that covers us.
@@ -511,9 +482,7 @@ func (l *Log) forceLocked(target types.LSN) error {
 			l.mu.Lock()
 			continue
 		}
-		// Covered: either the epoch's range is fixed and includes target,
-		// or the leader is still accumulating (end == 0) and will seal the
-		// append segment — which holds target — when it proceeds.
+		// Covered: the epoch's range includes target.
 		ep.waiters++
 		l.mu.Unlock()
 		start := time.Now()
@@ -530,19 +499,11 @@ func (l *Log) forceLocked(target types.LSN) error {
 // leadFlush runs one flush epoch as its leader. Called with l.mu held and
 // unflushed bytes buffered; returns with l.mu held.
 func (l *Log) leadFlush() error {
-	ep := &flushEpoch{done: make(chan struct{}), waiters: 1}
-	l.curEpoch = ep
-	l.flushing = true
-	if l.batchDelay > 0 {
-		// Linger with the mutex released so more committers append their
-		// commit records and join this epoch.
-		l.mu.Unlock()
-		time.Sleep(l.batchDelay)
-		l.mu.Lock()
-	}
 	data := l.sealRotateLocked()
 	base := l.flushed
-	ep.end = base + types.LSN(len(data))
+	ep := &flushEpoch{done: make(chan struct{}), end: base + types.LSN(len(data)), waiters: 1}
+	l.curEpoch = ep
+	l.flushing = true
 	l.inflight = data
 	l.ctr.forceAttempts.Add(1)
 	l.met.ForceAttempts.Inc()
@@ -575,34 +536,6 @@ func (l *Log) leadFlush() error {
 	ep.err = err
 	close(ep.done)
 	return err
-}
-
-// serialForceLocked is the pre-group-commit Force: one caller at a time,
-// mutex held across WriteAt+Sync. Kept as the benchmark baseline
-// (SetSerialForce).
-func (l *Log) serialForceLocked(target types.LSN) error {
-	if l.flushed >= target {
-		return nil
-	}
-	data := l.sealRotateLocked()
-	l.ctr.forceAttempts.Add(1)
-	l.met.ForceAttempts.Inc()
-	if _, err := l.f.WriteAt(data, int64(l.flushed-1)); err != nil {
-		l.head = data
-		l.ctr.forceErrors.Add(1)
-		l.met.ForceErrors.Inc()
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		l.head = data
-		l.ctr.forceErrors.Add(1)
-		l.met.ForceErrors.Inc()
-		return err
-	}
-	l.flushed += types.LSN(len(data))
-	l.ctr.forces.Add(1)
-	l.met.Forces.Inc()
-	return nil
 }
 
 // FlushedLSN returns the first LSN that is NOT yet durable: every record

@@ -31,8 +31,6 @@
 package onlineindex
 
 import (
-	"time"
-
 	"onlineindex/internal/admin"
 	"onlineindex/internal/btree"
 	"onlineindex/internal/catalog"
@@ -120,16 +118,6 @@ type Config struct {
 	// tracking; every instrumentation site degrades to a nil-handle no-op
 	// (the configuration the overhead benchmark compares against).
 	DisableMetrics bool
-	// CommitBatchDelay makes a group-commit flush leader linger this long
-	// before issuing the WAL fsync, letting more concurrent committers join
-	// the batch. Zero (the default) flushes immediately; commits never wait
-	// unless other commits are actually in flight. See README "Tuning commit
-	// throughput".
-	CommitBatchDelay time.Duration
-	// SerialCommitForce disables group commit, restoring the serial Force
-	// path that holds the log mutex across the fsync. Benchmarks use it as
-	// the baseline; production code should leave it off.
-	SerialCommitForce bool
 	// BufferShards is the buffer pool's page-table shard count (rounded up
 	// to a power of two; 0 means min(16, GOMAXPROCS)). See README "Tuning
 	// shard counts".
@@ -137,15 +125,6 @@ type Config struct {
 	// LockStripes is the lock manager's bucket-map stripe count (rounded up
 	// to a power of two; 0 means min(16, GOMAXPROCS)).
 	LockStripes int
-	// DisableReadCache turns off the hash point-lookup fast path; Lookup then
-	// always descends the B+-tree. See README "Serving reads during a build".
-	DisableReadCache bool
-	// ReadCacheSize caps the point-lookup cache at this many key runs per
-	// index (0 means 4096).
-	ReadCacheSize int
-	// DisableZoneMap turns off zone-map maintenance and sequential-scan block
-	// pruning.
-	DisableZoneMap bool
 }
 
 // IndexSpec describes an index to build.
@@ -203,10 +182,7 @@ type DB struct {
 func (cfg Config) engineConfig() engine.Config {
 	return engine.Config{
 		FS: cfg.FS, PoolSize: cfg.PoolSize, DisableMetrics: cfg.DisableMetrics,
-		CommitBatchDelay: cfg.CommitBatchDelay, SerialCommitForce: cfg.SerialCommitForce,
 		BufferShards: cfg.BufferShards, LockStripes: cfg.LockStripes,
-		DisableReadCache: cfg.DisableReadCache, ReadCacheSize: cfg.ReadCacheSize,
-		DisableZoneMap: cfg.DisableZoneMap,
 	}
 }
 

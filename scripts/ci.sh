@@ -1,67 +1,18 @@
 #!/usr/bin/env sh
 # CI entry point. Modes:
 #
-#   ci.sh              build everything, vet, and run the full test suite under
-#                      the race detector (the staged scan pipeline is
-#                      concurrent; -race is the point, not a nicety). Runs
-#                      -short, so the crash sweep covers its smoke subset
-#                      (every 8th clean crash, every 4th torn point).
+#   ci.sh              check gofmt, build everything, vet, and run the full
+#                      test suite under the race detector (the staged scan
+#                      pipeline is concurrent; -race is the point, not a
+#                      nicety). Runs -short, so the crash sweep covers its
+#                      smoke subset (every 8th clean crash, every 4th torn
+#                      point). Then vets and tests the bench/ module.
 #   ci.sh sweep        the exhaustive crash-schedule exploration: every fault
 #                      point of every scenario in clean, torn and error modes,
 #                      plus the fuzz seed corpora. Nightly / on demand.
 #   ci.sh overhead     the observability budget gate: fails if the metrics +
 #                      progress instrumentation costs > 2% on the E1 build
 #                      (wall-clock; run on a quiet machine).
-#   ci.sh bench-commit the group-commit throughput gate: fails unless 16
-#                      concurrent insert-commit writers get >= 3x the commit
-#                      throughput of the serial-Force baseline (wall-clock;
-#                      run on a quiet machine), then records the measured
-#                      commit_tps numbers in BENCH_build.json.
-#   ci.sh bench-sort   the partitioned-sort gate: fails unless run generation
-#                      over 4 concurrent sort partitions is >= 1.5x faster
-#                      than the serial single-tree sorter (wall-clock; run on
-#                      a quiet machine), then records the sortbench build
-#                      matrix (partitions x overlap) in BENCH_build.json.
-#   ci.sh bench-conc   the sharded-buffer gate: fails unless all-hit buffer
-#                      fetch throughput from 8 goroutines on an 8-shard pool
-#                      is >= 1.5x the single-shard pool's (skips on < 4 CPUs;
-#                      wall-clock; run on a quiet machine), then records the
-#                      shards x stripes contention matrix (buffer fetch, lock
-#                      pair, WAL append ops/s) in BENCH_build.json.
-#   ci.sh bench-read   the read-path gate: fails unless all-hit point lookups
-#                      through the hash fast path are >= 1.5x the tree-only
-#                      path on an identically populated database (skips on
-#                      < 4 CPUs; wall-clock; run on a quiet machine), then
-#                      records the read-path matrix (point/range/seqscan,
-#                      quiescent and during a live SF build) in
-#                      BENCH_build.json.
-#   ci.sh bench-part   the fan-out build gate: fails unless a parallel 4-shard
-#                      SF build of one logical index is >= 1.25x faster than
-#                      the single-shard build (skips on < 4 CPUs; wall-clock;
-#                      run on a quiet machine), then records the partbench
-#                      matrix (build ms + routed read mix at P in {1,2,4}) in
-#                      BENCH_build.json.
-#   ci.sh bench-compress  the key-compression gate: fails unless CompressKeys
-#                      spills >= 20% fewer run-file bytes than the
-#                      uncompressed build over composite-style keys
-#                      (deterministic byte counts, no wall-clock), then
-#                      records the sortbench matrix — whose last two rows are
-#                      the compressed-vs-uncompressed pair — in
-#                      BENCH_build.json.
-#   ci.sh bench-disk   the on-disk build pipeline, nightly size: the
-#                      allocation gate (offline build must stay within 20%
-#                      of the post-optimization allocs/row baseline) plus a
-#                      1M-row -diskbench matrix on a real filesystem with
-#                      CPU/heap profiles summarized by analyze_profile.sh
-#                      and kept as run artifacts, records merged into
-#                      BENCH_build.json. 1M rows (~100 MB scratch) stays
-#                      tmpfs-safe on CI runners; the full 10M numbers in
-#                      EXPERIMENTS.md are produced on a quiet machine.
-#   ci.sh bench-disk-smoke  the per-change slice of the same pipeline: a
-#                      100k-row -diskbench pass proving populate, the three
-#                      build methods and verification work end to end on a
-#                      real filesystem. No thresholds, no profiles, and the
-#                      records go to /tmp so the checkout stays clean.
 #   ci.sh race         focused race-detector pass over the sharded singletons
 #                      (buffer, lock, wal, txn), the read path (cursor
 #                      batching, hash cache, zone maps, engine read stress),
@@ -82,9 +33,13 @@ cd "$(dirname "$0")/.."
 
 case "${1:-test}" in
 test)
+    unformatted=$(gofmt -l .)
+    [ -z "$unformatted" ] || { echo "gofmt needed: $unformatted" >&2; exit 1; }
     go build ./...
     go vet ./...
     go test -race -short ./...
+    # bench/ is its own module, so the root ./... does not reach it.
+    (cd bench && go vet ./... && go test ./...)
     ;;
 sweep)
     go build ./...
@@ -98,39 +53,6 @@ sweep)
     ;;
 overhead)
     ONLINEINDEX_OVERHEAD_GATE=1 go test -run TestMetricsOverheadGate -v -count=1 .
-    ;;
-bench-commit)
-    ONLINEINDEX_COMMIT_GATE=1 go test -run TestCommitThroughputGate -v -count=1 -timeout 10m .
-    go run ./cmd/benchtab -commitbench -out BENCH_build.json
-    ;;
-bench-sort)
-    ONLINEINDEX_SORT_GATE=1 go test -run TestPartitionedSortGate -v -count=1 -timeout 10m .
-    go run ./cmd/benchtab -sortbench 200000 -out BENCH_build.json
-    ;;
-bench-conc)
-    ONLINEINDEX_CONC_GATE=1 go test -run TestShardedBufferGate -v -count=1 -timeout 10m .
-    go run ./cmd/benchtab -concbench -out BENCH_build.json
-    ;;
-bench-read)
-    ONLINEINDEX_READ_GATE=1 go test -run TestReadPathGate -v -count=1 -timeout 10m .
-    go run ./cmd/benchtab -readbench 20000 -out BENCH_build.json
-    ;;
-bench-part)
-    ONLINEINDEX_PART_GATE=1 go test -run TestPartitionBuildGate -v -count=1 -timeout 10m .
-    go run ./cmd/benchtab -partbench 20000 -out BENCH_build.json
-    ;;
-bench-compress)
-    ONLINEINDEX_COMPRESS_GATE=1 go test -run TestCompressSpillGate -v -count=1 -timeout 10m .
-    go run ./cmd/benchtab -sortbench 200000 -out BENCH_build.json
-    ;;
-bench-disk)
-    ONLINEINDEX_ALLOC_GATE=1 go test -run TestBuildAllocGate -v -count=1 -timeout 10m .
-    go run ./cmd/benchtab -diskbench 1000000 \
-        -cpuprofile disk_cpu.pprof -memprofile disk_mem.pprof -out BENCH_build.json
-    scripts/analyze_profile.sh disk_cpu.pprof disk_mem.pprof
-    ;;
-bench-disk-smoke)
-    go run ./cmd/benchtab -diskbench 100000 -out /tmp/diskbench-smoke.json
     ;;
 race)
     go test -race -count=4 -timeout 20m \
@@ -169,7 +91,7 @@ admin-smoke)
     echo "admin-smoke OK"
     ;;
 *)
-    echo "usage: $0 [test|sweep|overhead|bench-commit|bench-sort|bench-conc|bench-read|bench-part|bench-compress|bench-disk|bench-disk-smoke|race|admin-smoke]" >&2
+    echo "usage: $0 [test|sweep|overhead|race|admin-smoke]" >&2
     exit 2
     ;;
 esac
