@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"onlineindex/internal/btree"
 	"onlineindex/internal/catalog"
 	"onlineindex/internal/enc"
 	"onlineindex/internal/engine"
@@ -220,29 +221,13 @@ type builder struct {
 	// prog is the build's progress tracker (nil when the engine runs with
 	// metrics disabled; all feeds are nil-safe).
 	prog *progress.Tracker
-}
-
-// Build creates an index with the given method, concurrently with updates
-// for the online methods. It blocks until the index is complete (run it in
-// a goroutine to overlap with a workload).
-func Build(db *engine.DB, spec engine.CreateIndexSpec, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	b := &builder{db: db, opts: opts}
-	b.st.Method = spec.Method
-
-	switch spec.Method {
-	case catalog.MethodNSF:
-		return b.buildNSF(spec)
-	case catalog.MethodSF:
-		return b.buildSF(spec)
-	case catalog.MethodOffline:
-		return b.buildOffline(spec)
-	default:
-		return nil, fmt.Errorf("core: unknown build method %v", spec.Method)
-	}
+	// The state one step hands the next. A fresh build fills it as it
+	// goes; a resumed one restores it from its checkpoint (restore).
+	sorter   *extsort.PartSorter
+	from, to types.PageNum // scan: next page to visit, noted end (exclusive)
+	merger   *extsort.Merger
+	loader   *btree.Loader
+	sfPos    uint64 // side-file: next entry to apply
 }
 
 // item encoding for the external sort: key bytes followed by a fixed-width
@@ -331,13 +316,18 @@ func parseScanPosition(b []byte) (next, end types.PageNum, err error) {
 }
 
 // cancel aborts the build: roll back the in-flight builder transaction and
-// drop the descriptor under the §2.3.2 quiesce.
+// drop the descriptor under the §2.3.2 quiesce. An error past the point
+// where the index became complete (its final commit, the GC pass) cancels
+// nothing and is returned as is.
 func (b *builder) cancel(cause error) error {
 	if errors.Is(cause, vfs.ErrCrashed) {
 		// The file system is gone: no compensation can run on this
 		// incarnation (DropIndex would block on locks held by transactions
 		// that died with the machine). Restart recovery owns the cleanup.
 		return fmt.Errorf("%w: %w", ErrBuildCancelled, cause)
+	}
+	if ix, ok := b.db.Catalog().Index(b.ix.Name); ok && ix.State == catalog.StateComplete {
+		return cause
 	}
 	if b.tx != nil && b.tx.State() == txn.StateActive {
 		if err := b.tx.Rollback(); err != nil {
@@ -354,59 +344,59 @@ func (b *builder) cancel(cause error) error {
 	return fmt.Errorf("%w: %w", ErrBuildCancelled, cause)
 }
 
-// verifyIBConflict runs the §2.2.3 unique-check: "IB would lock both records
-// in share mode, and then access the index page and the corresponding data
-// page(s) to verify whether the duplicate key value condition still exists."
-// Returns action: skip the key (its record changed), replace the terminated
-// pseudo entry, or fail the build.
-type conflictAction int
+// maxConflictRetries bounds how often one entry's unique conflict may come
+// back inconclusive (the competing entry vanished or is stale while its
+// owner's change is still in flight) before the build gives up on it.
+const maxConflictRetries = 32
 
-const (
-	conflictSkipKey conflictAction = iota
-	conflictReplace
-	conflictFatal
-	conflictRetry
-)
+var errConflictLoop = errors.New("core: unique conflict did not converge")
 
-func (b *builder) verifyIBConflict(tree treeLike, key []byte, rid, other types.RID, otherPseudo bool) (conflictAction, error) {
+// resolveConflict settles a unique conflict between entry e and the
+// competing entry c by the §2.2.3 protocol: "IB would lock both records in
+// share mode, and then access the index page and the corresponding data
+// page(s) to verify whether the duplicate key value condition still
+// exists." e is then skipped (its record changed since extraction), put in
+// place of c's terminated pseudo entry, or the build fails. retry reports
+// that the verdict was inconclusive and e must be inserted again. The NSF
+// batch insert and SF side-file catch-up both resolve through here.
+func (b *builder) resolveConflict(tree *btree.Tree, e btree.Entry, c *btree.UniqueConflict) (retry bool, err error) {
 	// Lock both records in share mode (waits out uncommitted owners).
-	if err := b.tx.Lock(lock.RecordName(rid), lock.S); err != nil {
-		return 0, err
+	if err := b.tx.Lock(lock.RecordName(e.RID), lock.S); err != nil {
+		return false, err
 	}
-	if err := b.tx.Lock(lock.RecordName(other), lock.S); err != nil {
-		return 0, err
+	if err := b.tx.Lock(lock.RecordName(c.OtherRID), lock.S); err != nil {
+		return false, err
 	}
 	// (1) Does our record still produce this key?
-	if ok, err := b.recordHasKey(rid, key); err != nil {
-		return 0, err
-	} else if !ok {
-		return conflictSkipKey, nil // record deleted/updated since extraction
+	if ok, err := b.recordHasKey(e.RID, e.Key); err != nil || !ok {
+		if err == nil {
+			b.st.KeysSkipped++ // record deleted/updated since extraction
+		}
+		return false, err
 	}
 	// (2) Does the competing entry still exist, and in what state?
-	found, pseudo, err := tree.SearchEntry(key, other)
-	if err != nil {
-		return 0, err
-	}
-	if !found {
-		return conflictRetry, nil
+	found, pseudo, err := tree.SearchEntry(e.Key, c.OtherRID)
+	if err != nil || !found {
+		return err == nil, err
 	}
 	if pseudo {
-		return conflictReplace, nil
+		if err := tree.ReplaceRID(b.tx, e.Key, c.OtherRID, e.RID); err != nil {
+			// A new competitor took the key meanwhile: insert e again.
+			if _, again := err.(*btree.UniqueConflict); again {
+				return true, nil
+			}
+			return false, err
+		}
+		b.st.KeysInserted++
+		return false, nil
 	}
-	// (3) Does the competing record still produce this key value?
-	if ok, err := b.recordHasKey(other, key); err != nil {
-		return 0, err
-	} else if !ok {
-		// Stale live entry for a changed record: the owning transaction's
-		// delete must still be in flight elsewhere; retry.
-		return conflictRetry, nil
+	// (3) Does the competing record still produce this key value? A stale
+	// live entry for a changed record means its owner's delete is still in
+	// flight elsewhere: retry.
+	if ok, err := b.recordHasKey(c.OtherRID, e.Key); err != nil || !ok {
+		return err == nil, err
 	}
-	return conflictFatal, nil
-}
-
-// treeLike is the slice of the btree API conflict verification needs.
-type treeLike interface {
-	SearchEntry(key []byte, rid types.RID) (bool, bool, error)
+	return false, &engine.UniqueViolationError{Index: b.ix.Name, Key: e.Key, Existing: c.OtherRID}
 }
 
 // recordHasKey reports whether the record at rid exists and its key columns
@@ -425,52 +415,4 @@ func (b *builder) recordHasKey(rid types.RID, key []byte) (bool, error) {
 		return false, err
 	}
 	return string(got) == string(key), nil
-}
-
-// extractAndSort runs the shared scan phase over pages [from..end] through
-// the staged pipeline (pipeline.go): the page visitor S-latches pages in
-// order (advancing the SF Current-RID under the latch), ScanWorkers
-// extraction workers build the sort items, and the in-order sorter feed
-// takes a watermark checkpoint every CheckpointPages pages.
-func (b *builder) extractAndSort(sorter *extsort.PartSorter, from, end types.PageNum, phase engine.IBPhase) error {
-	h, err := b.db.HeapOf(b.tbl.ID)
-	if err != nil {
-		return err
-	}
-	feeds := []*scanFeed{{ix: &b.ix, sorter: sorter, st: &b.st, prog: b.prog, met: b.db.Metrics()}}
-	var advance func(next types.PageNum)
-	if b.ctl != nil {
-		advance = func(next types.PageNum) {
-			// Under the page latch: advance Current-RID past the whole page
-			// so every later modification of it routes to the side-file.
-			b.ctl.AdvanceCurrentRID(types.RID{PageID: types.PageID{File: b.tbl.FileID, Page: next}})
-		}
-	}
-	checkpoint := func(next types.PageNum) error {
-		ss, err := sorter.Checkpoint(scanPosition(next, end))
-		if err != nil {
-			return err
-		}
-		st := engine.IBState{
-			Index: b.ix.ID, Phase: phase, EndPage: end,
-			SortState: ss.Encode(),
-		}
-		if b.ctl != nil {
-			// The checkpoint covers exactly the drained watermark [from..next):
-			// the visitor may have prefetched further and advanced the live
-			// Current-RID with it, but recovery must restore the position that
-			// matches the sorter state, so resume rescans from `next` at any
-			// worker count. An update between the watermark and the prefetch
-			// head that reached the side-file before a crash is re-extracted
-			// by the resumed scan and absorbed by duplicate rejection, like
-			// the §3.2.2 race-window pages.
-			st.CurrentRID = types.RID{PageID: types.PageID{File: b.tbl.FileID, Page: next}}
-		}
-		return b.rotate(st)
-	}
-	start := time.Now()
-	err = pipelineScan(h, from, end, feeds, b.opts.ScanWorkers, advance,
-		b.opts.CheckpointPages, checkpoint)
-	b.st.ScanSort += time.Since(start)
-	return err
 }

@@ -301,10 +301,11 @@ func TestPaperExampleNineSteps(t *testing.T) {
 	//  pseudo-deleting the key; 7-8. T2 inserts at the same RID and key,
 	//  reactivating the entry; 9. T2 commits.
 	db, _ := newDB(t, 10)
-	ix, err := db.CreateIndexDescriptor(spec("by_name", catalog.MethodNSF, false))
+	s, err := Start(db, []engine.CreateIndexSpec{spec("by_name", catalog.MethodNSF, false)}, []Options{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := s.bs[0].ix
 	tree, _ := db.TreeOf(ix.ID)
 
 	// 1-2: T1 inserts; the index is visible for updates.
@@ -462,7 +463,7 @@ func TestGCAfterNSFBuildWithDeletes(t *testing.T) {
 }
 
 func TestBuildManySingleScan(t *testing.T) {
-	for _, method := range []catalog.BuildMethod{catalog.MethodNSF, catalog.MethodSF} {
+	for _, method := range []catalog.BuildMethod{catalog.MethodNSF, catalog.MethodSF, catalog.MethodOffline} {
 		t.Run(method.String(), func(t *testing.T) {
 			db, _ := newDB(t, 1500)
 			specs := []engine.CreateIndexSpec{
@@ -488,11 +489,9 @@ func TestBuildManySingleScan(t *testing.T) {
 
 func TestCancelBuild(t *testing.T) {
 	db, _ := newDB(t, 500)
-	ix, err := db.CreateIndexDescriptor(spec("doomed", catalog.MethodNSF, false))
-	if err != nil {
+	if _, err := Start(db, []engine.CreateIndexSpec{spec("doomed", catalog.MethodNSF, false)}, []Options{{}}); err != nil {
 		t.Fatal(err)
 	}
-	_ = ix
 	if err := Cancel(db, "doomed"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"onlineindex/internal/btree"
 	"onlineindex/internal/catalog"
 	"onlineindex/internal/engine"
 	"onlineindex/internal/types"
@@ -456,5 +458,84 @@ func TestRepeatedCrashesSameBuild(t *testing.T) {
 		if err := db2.CheckIndexConsistency("by_name"); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBuildManyMidScanResume crashes a two-index BuildMany at a mid-scan
+// checkpoint, once both indexes have checkpointed the shared scan's second
+// drained watermark, and resumes each index: neither may rescan the whole
+// table, and both must come out consistent.
+func TestBuildManyMidScanResume(t *testing.T) {
+	const rows = 3000
+	for _, method := range []catalog.BuildMethod{catalog.MethodNSF, catalog.MethodSF} {
+		t.Run(method.String(), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			cfg := engine.Config{FS: fs, PoolSize: 512, TreeBudget: 1024}
+			db, err := engine.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.CreateTable("items", schema())
+			for i := 0; i < rows; i++ {
+				tx := db.Begin()
+				if _, err := db.Insert(tx, "items", rowOf(int64(i), nameOf(i), int64(i%97))); err != nil {
+					t.Fatal(err)
+				}
+				tx.Commit()
+			}
+			specs := []engine.CreateIndexSpec{
+				{Name: "m_name", Table: "items", Columns: []string{"name"}, Method: method},
+				{Name: "m_qty", Table: "items", Columns: []string{"qty"}, Method: method},
+			}
+			opts := Options{CheckpointPages: 4, SerialFinish: true}
+			scanCkpts := 0
+			opts.OnCheckpoint = func(ph engine.IBPhase) error {
+				if ph == engine.IBPhaseScan {
+					scanCkpts++
+				}
+				if scanCkpts == 2*len(specs) {
+					db.Crash()
+					return vfs.ErrCrashed
+				}
+				return nil
+			}
+			if _, err := BuildMany(db, specs, opts); !errors.Is(err, vfs.ErrCrashed) {
+				t.Fatalf("BuildMany = %v, want the crash at its second scan watermark", err)
+			}
+
+			db2, err := engine.Recover(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending, err := db2.PendingBuilds()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pending) != len(specs) {
+				t.Fatalf("pending builds = %d, want %d", len(pending), len(specs))
+			}
+			for _, pb := range pending {
+				if pb.State == nil || pb.State.Phase != engine.IBPhaseScan {
+					t.Fatalf("%s recovered state = %+v, want mid-scan", pb.Index.Name, pb.State)
+				}
+				res, err := Resume(db2, pb, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := res.Stats.KeysExtracted; n == 0 || n >= rows {
+					t.Fatalf("%s resume re-extracted %d keys of %d: the scan checkpoint was not used", pb.Index.Name, n, rows)
+				}
+				if err := db2.CheckIndexConsistency(pb.Index.Name); err != nil {
+					t.Fatal(err)
+				}
+				tree, err := db2.TreeOf(pb.Index.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := btree.CheckInvariants(tree); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

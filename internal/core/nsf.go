@@ -1,91 +1,24 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"onlineindex/internal/btree"
 	"onlineindex/internal/engine"
-	"onlineindex/internal/extsort"
 	"onlineindex/internal/progress"
 )
 
-// buildNSF runs the No Side-File algorithm (§2):
-//
-//  1. Create the index descriptor under a short table-S-lock quiesce; from
-//     then on transactions maintain the new index directly.
-//  2. Scan the data pages (share latches only), extracting and sorting the
-//     keys in a pipelined, restartable sort.
-//  3. Merge the runs and insert the keys through the multi-key interface
-//     with the remembered-path cursor, checkpointing the highest inserted
-//     key periodically. Duplicates lost to transaction races are rejected
-//     without logging; unique conflicts run the both-records-locked
-//     verification.
-//  4. Make the index available for reads.
-//  5. Optionally garbage-collect pseudo-deleted keys.
-func (b *builder) buildNSF(spec engine.CreateIndexSpec) (*Result, error) {
-	tbl, ok := b.db.Catalog().Table(spec.Table)
-	if !ok {
-		return nil, fmt.Errorf("core: no table %q", spec.Table)
-	}
-	b.tbl = tbl
-
-	// Step 1: descriptor under the short quiesce (inside the engine call).
-	qStart := time.Now()
-	ix, err := b.db.CreateIndexDescriptor(spec)
-	if err != nil {
-		return nil, err
-	}
-	b.ix = ix
-	b.st.QuiesceWait = time.Since(qStart)
-	b.tx = b.db.Begin()
-	b.startProgress()
-
-	// Step 2: note the scan end before starting ("the last page to be
-	// processed by the data page scan can be noted before starting IB's
-	// data scan... transactions would insert directly into the index the
-	// keys of records belonging to those new pages").
-	h, err := b.db.HeapOf(tbl.ID)
-	if err != nil {
-		return nil, err
-	}
-	nPages, err := h.PageCount()
-	if err != nil {
-		return nil, err
-	}
-	sorter := b.newSorter()
-	defer sorter.Close()
-	b.prog.SetTotal(progress.Scan, uint64(nPages))
-	if nPages > 0 {
-		if err := b.extractAndSort(sorter, 0, nPages-1, engine.IBPhaseScan); err != nil {
-			return nil, b.cancel(err)
-		}
-	}
-	b.prog.FinishPhase(progress.Scan)
-	runs, err := sorter.Finish()
-	if err != nil {
-		return nil, b.cancel(err)
-	}
-	b.st.Runs = len(runs)
-
-	// Step 3: merge + insert (steps 4-5 shared with the resume path).
-	merger, err := extsort.NewMergerWith(b.db.FS(), runs, nil, b.mergeOpts())
-	if err != nil {
-		return nil, b.cancel(err)
-	}
-	defer merger.Close()
-	b.noteMerge(runs, nil)
-	if err := b.nsfInsertPhase(merger, runs); err != nil {
-		return nil, err // cancel already handled inside
-	}
-	return b.completeNSF()
-}
-
-// nsfInsertPhase streams the merged keys into the tree in multi-key batches.
-func (b *builder) nsfInsertPhase(merger *extsort.Merger, runs []extsort.RunMeta) error {
+// insert is the No Side-File algorithm's insert step (§2): the merged keys
+// go into the tree through the multi-key interface with the
+// remembered-path cursor, in BatchSize batches, and the highest inserted
+// key is checkpointed every CheckpointKeys keys. Transactions maintain the
+// index directly from the descriptor on, so duplicates lost to their races
+// are rejected without logging, and unique conflicts run the
+// both-records-locked verification (resolveConflict).
+func (b *builder) insert() error {
 	tree, err := b.db.TreeOf(b.ix.ID)
 	if err != nil {
-		return b.cancel(err)
+		return err
 	}
 	start := time.Now()
 	cursor := &btree.IBCursor{}
@@ -95,201 +28,82 @@ func (b *builder) nsfInsertPhase(merger *extsort.Merger, runs []extsort.RunMeta)
 	// merged counts every key consumed from the merge (absolute, so it lines
 	// up with the counter vector a resumed merger starts from).
 	var merged uint64
-	for _, c := range merger.Counters() {
+	for _, c := range b.merger.Counters() {
 		merged += c
 	}
 
 	flush := func() error {
+		retries := 0
 		for len(batch) > 0 {
 			res, conflict, at, err := tree.IBInsertBatch(b.tx, batch, cursor)
 			b.st.KeysInserted += uint64(res.Inserted)
 			b.st.KeysSkipped += uint64(res.Skipped)
-			if err != nil {
-				return err
-			}
-			if conflict == nil {
+			if err != nil || conflict == nil {
 				batch = batch[:0]
-				return nil
-			}
-			e := batch[at]
-			action, err := b.verifyIBConflict(tree, e.Key, e.RID, conflict.OtherRID, conflict.Pseudo)
-			if err != nil {
 				return err
 			}
-			switch action {
-			case conflictFatal:
-				return &engine.UniqueViolationError{Index: b.ix.Name, Key: e.Key, Existing: conflict.OtherRID}
-			case conflictSkipKey:
-				batch = batch[at+1:]
-				b.st.KeysSkipped++
-			case conflictReplace:
-				if err := tree.ReplaceRID(b.tx, e.Key, conflict.OtherRID, e.RID); err != nil {
-					if _, isConflict := err.(*btree.UniqueConflict); isConflict {
-						batch = batch[at:] // retry the whole entry
-						continue
-					}
-					return err
-				}
-				b.st.KeysInserted++
-				batch = batch[at+1:]
-			case conflictRetry:
+			if at > 0 {
+				retries = 0 // a new entry heads the batch
+			}
+			retry, err := b.resolveConflict(tree, batch[at], conflict)
+			switch {
+			case err != nil:
+				return err
+			case !retry:
+				batch, retries = batch[at+1:], 0
+			case retries == maxConflictRetries:
+				return errConflictLoop
+			default:
 				batch = batch[at:]
+				retries++
 			}
 		}
 		return nil
 	}
 
 	for {
-		item, _, ok, err := merger.Next()
+		item, _, ok, err := b.merger.Next()
 		if err != nil {
-			return b.cancel(err)
+			return err
 		}
 		if !ok {
 			break
 		}
 		key, rid, err := decodeItem(item)
 		if err != nil {
-			return b.cancel(err)
+			return err
 		}
 		batch = append(batch, btree.Entry{Key: append([]byte(nil), key...), RID: rid})
 		lastItem = item
 		merged++
 		if len(batch) >= b.opts.BatchSize {
 			if err := flush(); err != nil {
-				return b.cancel(err)
+				return err
 			}
 			b.prog.Advance(progress.Load, merged)
 		}
 		sinceCkpt++
 		if b.opts.CheckpointKeys > 0 && sinceCkpt >= b.opts.CheckpointKeys {
 			if err := flush(); err != nil {
-				return b.cancel(err)
+				return err
 			}
 			b.prog.Advance(progress.Load, merged)
-			ms := merger.State()
+			ms := b.merger.State()
 			st := engine.IBState{
 				Index: b.ix.ID, Phase: engine.IBPhaseInsert,
 				MergeState: ms.Encode(), HighKey: append([]byte(nil), lastItem...),
 			}
 			if err := b.rotate(st); err != nil {
-				return b.cancel(err)
+				return err
 			}
 			sinceCkpt = 0
 		}
 	}
 	if err := flush(); err != nil {
-		return b.cancel(err)
+		return err
 	}
 	b.prog.Advance(progress.Load, merged)
 	b.prog.FinishPhase(progress.Load)
 	b.st.Insert += time.Since(start)
-	_ = runs
 	return nil
-}
-
-// resumeNSF continues an interrupted NSF build from its last checkpoint.
-func (b *builder) resumeNSF(state *engine.IBState) (*Result, error) {
-	b.tx = b.db.Begin()
-	b.startProgress()
-	b.seedProgress(state)
-	switch {
-	case state == nil:
-		// Crashed before the first checkpoint: everything before the
-		// descriptor is durable; redo the scan from the beginning.
-		h, err := b.db.HeapOf(b.tbl.ID)
-		if err != nil {
-			return nil, err
-		}
-		n, err := h.PageCount()
-		if err != nil {
-			return nil, err
-		}
-		sorter := b.newSorter()
-		defer sorter.Close()
-		b.prog.SetTotal(progress.Scan, uint64(n))
-		if n > 0 {
-			if err := b.extractAndSort(sorter, 0, n-1, engine.IBPhaseScan); err != nil {
-				return nil, b.cancel(err)
-			}
-		}
-		return b.finishNSFFromSorter(sorter)
-
-	case state.Phase == engine.IBPhaseScan:
-		sorter, scanPos, err := b.resumeSorter(state.SortState)
-		if err != nil {
-			return nil, err
-		}
-		defer sorter.Close()
-		next, end, err := parseScanPosition(scanPos)
-		if err != nil {
-			return nil, err
-		}
-		if next <= end {
-			if err := b.extractAndSort(sorter, next, end, engine.IBPhaseScan); err != nil {
-				return nil, b.cancel(err)
-			}
-		}
-		return b.finishNSFFromSorter(sorter)
-
-	case state.Phase == engine.IBPhaseInsert:
-		ms, err := extsort.DecodeMergeState(state.MergeState)
-		if err != nil {
-			return nil, err
-		}
-		merger, err := extsort.ResumeMergerWith(b.db.FS(), ms, b.mergeOpts())
-		if err != nil {
-			return nil, err
-		}
-		defer merger.Close()
-		b.st.Runs = len(ms.Runs)
-		b.noteMerge(ms.Runs, ms.Counters)
-		if err := b.nsfInsertPhase(merger, ms.Runs); err != nil {
-			return nil, err
-		}
-		return b.completeNSF()
-
-	default:
-		return nil, fmt.Errorf("core: NSF build of %q in unexpected phase %v", b.ix.Name, state.Phase)
-	}
-}
-
-func (b *builder) finishNSFFromSorter(sorter *extsort.PartSorter) (*Result, error) {
-	b.prog.FinishPhase(progress.Scan)
-	runs, err := sorter.Finish()
-	if err != nil {
-		return nil, b.cancel(err)
-	}
-	b.st.Runs = len(runs)
-	merger, err := extsort.NewMergerWith(b.db.FS(), runs, nil, b.mergeOpts())
-	if err != nil {
-		return nil, b.cancel(err)
-	}
-	defer merger.Close()
-	b.noteMerge(runs, nil)
-	if err := b.nsfInsertPhase(merger, runs); err != nil {
-		return nil, err
-	}
-	return b.completeNSF()
-}
-
-func (b *builder) completeNSF() (*Result, error) {
-	if err := b.db.SetIndexComplete(b.tx, b.ix.ID); err != nil {
-		return nil, b.cancel(err)
-	}
-	if err := b.tx.Commit(); err != nil {
-		return nil, err
-	}
-	b.db.DropIBCheckpoint(b.ix.ID)
-	if b.opts.GCAfterBuild {
-		res, err := GC(b.db, b.ix.Name)
-		if err != nil {
-			return nil, err
-		}
-		b.st.GC.Collected = res.Collected
-		b.st.GC.Skipped = res.Skipped
-		b.prog.FinishPhase(progress.GC)
-	}
-	b.prog.Complete()
-	done, _ := b.db.Catalog().Index(b.ix.Name)
-	return &Result{Index: done, Stats: b.st}, nil
 }

@@ -15,7 +15,6 @@ import (
 	"onlineindex/internal/engine"
 	"onlineindex/internal/extsort"
 	"onlineindex/internal/progress"
-	"onlineindex/internal/types"
 )
 
 // overlapBatchSize is the hand-off granularity in entries. Small enough
@@ -123,32 +122,33 @@ func overlapMerge(merger *extsort.Merger, merged uint64, concurrent bool, consum
 	return nil
 }
 
-// sfLoadOverlapped streams the merge into the loader through overlapMerge,
+// loadOverlapped streams the merge into the loader through overlapMerge,
 // checkpointing the (merge counters, loader position) pair only at batch
-// boundaries. Returns the total number of keys consumed from the merge.
-// Non-unique indexes only: the unique path's held-back entry and
-// both-records-locked verification need the one-at-a-time serial loop.
-func (b *builder) sfLoadOverlapped(merger *extsort.Merger, loader *btree.Loader, merged uint64) (uint64, error) {
+// boundaries, every ckptKeys keys. Returns the absolute number of keys
+// consumed from the merge. A unique index reaches here only offline, where
+// an adjacent duplicate — batches preserve adjacency, so the check spans
+// their boundaries — is a genuine violation.
+func (b *builder) loadOverlapped(merged uint64, ckptKeys int) (uint64, error) {
 	sinceCkpt := 0
-	err := overlapMerge(merger, merged, !b.opts.SerialFinish, func(bt loadBatch) error {
-		if err := loader.AddBatch(bt.entries); err != nil {
+	var prev []byte
+	err := overlapMerge(b.merger, merged, !b.opts.SerialFinish, func(bt loadBatch) error {
+		if b.ix.Unique {
+			for _, e := range bt.entries {
+				if prev != nil && string(prev) == string(e.Key) {
+					return &engine.UniqueViolationError{Index: b.ix.Name, Key: e.Key, Existing: e.RID}
+				}
+				prev = append(prev[:0], e.Key...)
+			}
+		}
+		if err := b.loader.AddBatch(bt.entries); err != nil {
 			return err
 		}
 		b.st.KeysInserted += uint64(len(bt.entries))
 		merged = bt.merged
 		b.prog.Advance(progress.Load, bt.merged)
 		sinceCkpt += len(bt.entries)
-		if b.opts.CheckpointKeys > 0 && sinceCkpt >= b.opts.CheckpointKeys {
-			ls, err := loader.Checkpoint() // flushes the index file first
-			if err != nil {
-				return err
-			}
-			st := engine.IBState{
-				Index: b.ix.ID, Phase: engine.IBPhaseLoad,
-				CurrentRID: types.MaxRID,
-				MergeState: bt.state.Encode(), LoadState: ls.Encode(),
-			}
-			if err := b.rotate(st); err != nil {
+		if ckptKeys > 0 && sinceCkpt >= ckptKeys {
+			if err := b.checkpointLoad(bt.state); err != nil {
 				return err
 			}
 			sinceCkpt = 0

@@ -7,7 +7,6 @@ package core
 // that was durably done.
 
 import (
-	"onlineindex/internal/catalog"
 	"onlineindex/internal/engine"
 	"onlineindex/internal/extsort"
 	"onlineindex/internal/progress"
@@ -24,17 +23,13 @@ func (b *builder) startProgress() {
 	b.db.RegisterProgress(b.ix.ID, b.prog)
 }
 
+// progressPhases lists the tracker phases the build's steps report.
 func (b *builder) progressPhases() []progress.Phase {
-	switch b.ix.Method {
-	case catalog.MethodSF:
-		return []progress.Phase{progress.Scan, progress.Sort, progress.Load, progress.SideFile}
-	default:
-		ph := []progress.Phase{progress.Scan, progress.Sort, progress.Load}
-		if b.opts.GCAfterBuild {
-			ph = append(ph, progress.GC)
-		}
-		return ph
+	var ph []progress.Phase
+	for _, s := range b.steps() {
+		ph = append(ph, s.prog...)
 	}
+	return ph
 }
 
 // seedProgress primes a resumed build's tracker from the durable checkpoint,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"onlineindex/internal/btree"
-	"onlineindex/internal/catalog"
 	"onlineindex/internal/engine"
 	"onlineindex/internal/extsort"
 	"onlineindex/internal/lock"
@@ -15,149 +14,78 @@ import (
 	"onlineindex/internal/types"
 )
 
-// buildSF runs the Side-File algorithm (§3):
-//
-//  1. Create the descriptor and the side-file with no quiescing; register
-//     the build control (Index_Build flag + Current-RID) first so the
-//     descriptor and the protocol state appear together.
-//  2. Scan the data pages, advancing Current-RID past each page under its
-//     latch; extract and sort (restartable). Transactions route changes
-//     behind the scan position to the side-file.
-//  3. At scan end set Current-RID to infinity, then merge the runs into the
-//     bottom-up loader — no logging, no traversals, sequential page
-//     allocation (checkpointed via the loader state).
-//  4. Flush the loaded tree, then process the side-file from the beginning,
-//     logging undo-redo records like a normal transaction and checkpointing
-//     the position.
-//  5. When the side-file is drained, freeze appends, drain stragglers, mark
-//     the index complete and flip transactions to direct maintenance.
-func (b *builder) buildSF(spec engine.CreateIndexSpec) (*Result, error) {
-	tbl, ok := b.db.Catalog().Table(spec.Table)
-	if !ok {
-		return nil, fmt.Errorf("core: no table %q", spec.Table)
-	}
-	b.tbl = tbl
-
-	// Step 1: descriptor without quiesce; ctl registered before visibility.
-	ix, err := b.db.CreateIndexDescriptorWithCtl(spec, func(ix catalog.Index) *engine.BuildCtl {
-		b.ctl = engine.NewBuildCtl(ix.ID, catalog.MethodSF, engine.PhaseCapture)
-		// Current-RID starts at the first record of the table file: nothing
-		// is behind the scan yet, so no transaction appends to the
-		// side-file until the scan begins to pass them.
-		b.ctl.SetCurrentRID(types.RID{PageID: types.PageID{File: tbl.FileID}})
-		return b.ctl
-	})
-	if err != nil {
-		return nil, err
-	}
-	b.ix = ix
-	b.tx = b.db.Begin()
-	b.startProgress()
-
-	// Step 2: scan + sort.
-	sorter := b.newSorter()
-	defer sorter.Close()
-	if err := b.sfScan(sorter, 0); err != nil {
-		return nil, b.cancel(err)
-	}
-
-	runs, err := sorter.Finish()
-	if err != nil {
-		return nil, b.cancel(err)
-	}
-	b.st.Runs = len(runs)
-
-	// Step 3: bottom-up load.
-	if err := b.sfLoadPhase(runs, nil, nil); err != nil {
-		return nil, err
-	}
-
-	// Steps 4-5: side-file processing and the switch.
-	return b.sfSideFilePhase(0)
-}
-
-// sfScan runs the SF data scan from page `from`, chasing the file's actual
-// end before setting Current-RID to infinity.
-//
-// Unlike NSF — where "the last page to be processed by the data page scan
-// can be noted before starting" because transactions maintain the index
-// directly for records in newer pages (§2.3.1) — the SF scan must cover
-// every page that exists while Current-RID is still finite; chaseScan
-// (pipeline.go) implements the loop and the post-infinity race-window
-// sweep for every SF scan, single- or multi-index.
-func (b *builder) sfScan(sorter *extsort.PartSorter, from types.PageNum) error {
-	h, err := b.db.HeapOf(b.tbl.ID)
+// load merges the sorted runs into the bottom-up loader — no logging, no
+// traversals, sequential page allocation. It is the SF load step (§3.2.4)
+// and the offline baseline's. SF checkpoints the (merge counters, loader
+// state) pair every CheckpointKeys keys and verifies adjacent duplicates
+// of a unique index under the §2.2.3 protocol; offline, with the table
+// quiesced, takes no checkpoints and has nothing to re-verify: an adjacent
+// duplicate is a genuine violation. MergeOverlap pipelines the merge with
+// leaf construction (overlap.go) for offline, and for SF when the index is
+// not unique (the held-back verification needs the one-at-a-time loop).
+func (b *builder) load() error {
+	tree, err := b.db.TreeOf(b.ix.ID)
 	if err != nil {
 		return err
 	}
-	return chaseScan(h, from, func(lo, hi types.PageNum) error {
-		// The chase discovers appended pages round by round: the scan total
-		// grows with each round and the tracker clamps the reported fraction.
-		b.prog.SetTotal(progress.Scan, uint64(hi)+1)
-		return b.extractAndSort(sorter, lo, hi, engine.IBPhaseScan)
-	}, func() {
-		// "When IB finishes processing the last data page, it sets
-		// Current-RID to infinity" — from here on, file extensions go to
-		// the side-file.
-		b.ctl.SetCurrentRID(types.MaxRID)
-	})
-}
-
-// sfLoadPhase merges the runs into the bottom-up loader, optionally resuming
-// from checkpointed merge/loader state.
-func (b *builder) sfLoadPhase(runs []extsort.RunMeta, mergeState *extsort.MergeState, loadState *btree.LoaderState) error {
-	tree, err := b.db.TreeOf(b.ix.ID)
-	if err != nil {
-		return b.cancel(err)
-	}
 	start := time.Now()
-
-	var merger *extsort.Merger
-	var loader *btree.Loader
-	if mergeState != nil {
-		merger, err = extsort.ResumeMergerWith(b.db.FS(), *mergeState, b.mergeOpts())
-		if err != nil {
-			return b.cancel(err)
-		}
-		loader, err = tree.RestartLoaderWith(*loadState, b.opts.FillFactor, b.runCompress)
-		if err != nil {
-			return b.cancel(err)
-		}
-		b.noteMerge(mergeState.Runs, mergeState.Counters)
-	} else {
-		merger, err = extsort.NewMergerWith(b.db.FS(), runs, nil, b.mergeOpts())
-		if err != nil {
-			return b.cancel(err)
-		}
-		loader = tree.NewLoaderWith(b.opts.FillFactor, b.runCompress)
-		b.noteMerge(runs, nil)
+	if b.loader == nil {
+		b.loader = tree.NewLoaderWith(b.opts.FillFactor, b.runCompress)
 	}
-	defer merger.Close()
 	// merged counts keys consumed from the merge (absolute, aligned with the
 	// counter vector a resumed merger starts from).
 	var merged uint64
-	for _, c := range merger.Counters() {
+	for _, c := range b.merger.Counters() {
 		merged += c
 	}
-
-	if b.opts.MergeOverlap && !b.ix.Unique {
-		// §2.2.2 pipelining: the merge runs concurrently with leaf
-		// construction (overlap.go), checkpointing only at batch hand-offs.
-		merged, err = b.sfLoadOverlapped(merger, loader, merged)
-		if err != nil {
-			return b.cancel(err)
-		}
-		return b.sfLoadTail(loader, merged, start)
+	online := b.ctl != nil
+	ckptKeys := 0
+	if online {
+		ckptKeys = b.opts.CheckpointKeys
 	}
+	if b.opts.MergeOverlap && !(online && b.ix.Unique) {
+		merged, err = b.loadOverlapped(merged, ckptKeys)
+	} else {
+		merged, err = b.loadSerial(merged, ckptKeys)
+	}
+	if err != nil {
+		return err
+	}
+	if err := b.loader.Finish(); err != nil {
+		return err
+	}
+	b.prog.Advance(progress.Load, merged)
+	b.prog.FinishPhase(progress.Load)
+	// Durability boundary: the loaded (unlogged) tree must be on disk before
+	// the index completes, or before logged side-file processing starts
+	// referencing it.
+	if err := b.db.Pool().FlushFile(b.ix.FileID); err != nil {
+		return err
+	}
+	if online {
+		st := engine.IBState{Index: b.ix.ID, Phase: engine.IBPhaseSideFile, CurrentRID: types.MaxRID, SFPos: 0}
+		if err := b.rotate(st); err != nil {
+			return err
+		}
+	}
+	b.st.Insert += time.Since(start)
+	return nil
+}
 
+// loadSerial is the one-entry-at-a-time load loop. Returns the absolute
+// number of keys consumed from the merge.
+func (b *builder) loadSerial(merged uint64, ckptKeys int) (uint64, error) {
 	// For a unique index, the sorted stream makes duplicate key values
 	// adjacent; hold one entry back so a duplicate pair can be verified
-	// with the §2.2.3 both-records-locked protocol before anything reaches
-	// the loader. pendMergeState remembers the merge position from before
-	// the held-back entry was consumed, so checkpoints never lose it.
+	// before anything reaches the loader. pendMergeState remembers the merge
+	// position from before the held-back entry was consumed, so checkpoints
+	// never lose it.
 	var pend *btree.Entry
 	var pendMergeState extsort.MergeState
 	verifyDup := func(next btree.Entry) error {
+		if b.ctl == nil {
+			return &engine.UniqueViolationError{Index: b.ix.Name, Key: next.Key, Existing: pend.RID}
+		}
 		// Lock both records S and re-extract their keys.
 		if err := b.tx.Lock(lock.RecordName(pend.RID), lock.S); err != nil {
 			return err
@@ -189,118 +117,105 @@ func (b *builder) sfLoadPhase(runs []extsort.RunMeta, mergeState *extsort.MergeS
 	sinceCkpt := 0
 	for {
 		var preState extsort.MergeState
-		if b.ix.Unique {
+		if b.ix.Unique && ckptKeys > 0 {
 			// Snapshot the merge position before consuming the item that
 			// may become the held-back entry (checkpoint repositioning).
-			preState = merger.State()
+			preState = b.merger.State()
 		}
-		item, _, ok, err := merger.Next()
+		item, _, ok, err := b.merger.Next()
 		if err != nil {
-			return b.cancel(err)
+			return merged, err
 		}
 		if !ok {
 			break
 		}
 		key, rid, err := decodeItem(item)
 		if err != nil {
-			return b.cancel(err)
+			return merged, err
 		}
 		merged++
 		if merged%64 == 0 {
 			b.prog.Advance(progress.Load, merged)
 		}
-		e := btree.Entry{Key: append([]byte(nil), key...), RID: rid}
+		e := btree.Entry{Key: key, RID: rid}
 		if b.ix.Unique {
+			// The held-back entry outlives the merger's item: copy it.
+			e.Key = append([]byte(nil), key...)
 			switch {
 			case pend == nil:
-				pend = &e
-				pendMergeState = preState
+				pend, pendMergeState = &e, preState
 			case string(pend.Key) == string(e.Key):
 				if err := verifyDup(e); err != nil {
-					return b.cancel(err)
+					return merged, err
 				}
 				if pend == nil {
 					continue
 				}
 			default:
-				if err := loader.Add(*pend); err != nil {
-					return b.cancel(err)
+				if err := b.loader.Add(*pend); err != nil {
+					return merged, err
 				}
 				b.st.KeysInserted++
-				pend = &e
-				pendMergeState = preState
+				pend, pendMergeState = &e, preState
 			}
 		} else {
-			if err := loader.Add(e); err != nil {
-				return b.cancel(err)
+			if err := b.loader.Add(e); err != nil {
+				return merged, err
 			}
 			b.st.KeysInserted++
 		}
 		sinceCkpt++
-		if b.opts.CheckpointKeys > 0 && sinceCkpt >= b.opts.CheckpointKeys {
-			ls, err := loader.Checkpoint() // flushes the index file first
-			if err != nil {
-				return b.cancel(err)
-			}
-			ms := merger.State()
+		if ckptKeys > 0 && sinceCkpt >= ckptKeys {
+			ms := b.merger.State()
 			if pend != nil {
 				ms = pendMergeState // resume re-reads the held-back entry
 			}
-			// Durable progress is what the checkpoint records: the (possibly
-			// repositioned) counter vector, not the in-memory consumption.
-			ckptDone, _ := mergeProgress(&ms)
-			b.prog.Advance(progress.Load, ckptDone)
-			st := engine.IBState{
-				Index: b.ix.ID, Phase: engine.IBPhaseLoad,
-				CurrentRID: types.MaxRID,
-				MergeState: ms.Encode(), LoadState: ls.Encode(),
-			}
-			if err := b.rotate(st); err != nil {
-				return b.cancel(err)
+			if err := b.checkpointLoad(ms); err != nil {
+				return merged, err
 			}
 			sinceCkpt = 0
 		}
 	}
 	if pend != nil {
-		if err := loader.Add(*pend); err != nil {
-			return b.cancel(err)
+		if err := b.loader.Add(*pend); err != nil {
+			return merged, err
 		}
 		b.st.KeysInserted++
 	}
-	return b.sfLoadTail(loader, merged, start)
+	return merged, nil
 }
 
-// sfLoadTail completes the load phase: finish the loader, flush the
-// unlogged tree, and rotate into the side-file phase.
-func (b *builder) sfLoadTail(loader *btree.Loader, merged uint64, start time.Time) error {
-	if err := loader.Finish(); err != nil {
-		return b.cancel(err)
+// checkpointLoad commits a load checkpoint: the loader state (taking it
+// flushes the index file first) paired with merge position ms. Durable
+// progress is what the checkpoint records — the (possibly repositioned)
+// counter vector, not the in-memory consumption.
+func (b *builder) checkpointLoad(ms extsort.MergeState) error {
+	ls, err := b.loader.Checkpoint()
+	if err != nil {
+		return err
 	}
-	b.prog.Advance(progress.Load, merged)
-	b.prog.FinishPhase(progress.Load)
-	// Durability boundary before logged side-file processing: the loaded
-	// (unlogged) tree must be on disk before records start referencing it.
-	if err := b.db.Pool().FlushFile(b.ix.FileID); err != nil {
-		return b.cancel(err)
-	}
-	st := engine.IBState{Index: b.ix.ID, Phase: engine.IBPhaseSideFile, CurrentRID: types.MaxRID, SFPos: 0}
-	if err := b.rotate(st); err != nil {
-		return b.cancel(err)
-	}
-	b.st.Insert += time.Since(start)
-	return nil
+	done, _ := mergeProgress(&ms)
+	b.prog.Advance(progress.Load, done)
+	return b.rotate(engine.IBState{
+		Index: b.ix.ID, Phase: engine.IBPhaseLoad, CurrentRID: types.MaxRID,
+		MergeState: ms.Encode(), LoadState: ls.Encode(),
+	})
 }
 
-// sfSideFilePhase applies side-file entries from position pos onward and
-// performs the final switch.
-func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
+// applySideFile is the SF side-file step (§3.2.5): apply the captured
+// entries from the recorded position on, logging like a normal transaction
+// and checkpointing the position; once the side-file is drained, freeze
+// appends, drain the stragglers and switch the index to direct
+// maintenance.
+func (b *builder) applySideFile() error {
+	pos := b.sfPos
 	tree, err := b.db.TreeOf(b.ix.ID)
 	if err != nil {
-		return nil, b.cancel(err)
+		return err
 	}
 	sf, err := b.db.SideFileOf(b.ix.ID)
 	if err != nil {
-		return nil, b.cancel(err)
+		return err
 	}
 	start := time.Now()
 	const batch = 256
@@ -328,14 +243,14 @@ func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
 		if count > 0 {
 			entries, next, err := sf.Read(0, int(count))
 			if err != nil {
-				return nil, b.cancel(err)
+				return err
 			}
 			sort.SliceStable(entries, func(i, j int) bool {
 				return btree.CompareEntry(entries[i].Key, entries[i].RID, entries[j].Key, entries[j].RID) < 0
 			})
 			for _, e := range entries {
 				if err := b.applySideFileEntry(tree, e); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			pos = next
@@ -343,7 +258,7 @@ func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
 			noteApplied(pos)
 			st := engine.IBState{Index: b.ix.ID, Phase: engine.IBPhaseSideFile, CurrentRID: types.MaxRID, SFPos: pos}
 			if err := b.rotate(st); err != nil {
-				return nil, b.cancel(err)
+				return err
 			}
 		}
 	}
@@ -352,7 +267,7 @@ func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
 	for {
 		entries, next, err := sf.Read(pos, batch)
 		if err != nil {
-			return nil, b.cancel(err)
+			return err
 		}
 		if len(entries) == 0 {
 			// Possibly caught up: freeze appends, drain stragglers, switch.
@@ -360,12 +275,12 @@ func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
 			entries, next, err = sf.Read(pos, 1<<30)
 			if err != nil {
 				b.ctl.UnfreezeAppends()
-				return nil, b.cancel(err)
+				return err
 			}
 			for _, e := range entries {
 				if err := b.applySideFileEntry(tree, e); err != nil {
 					b.ctl.UnfreezeAppends()
-					return nil, err
+					return err
 				}
 			}
 			b.st.SideFileApplied += uint64(len(entries))
@@ -377,18 +292,18 @@ func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
 			// transactions would modify the index directly."
 			if err := b.db.SetIndexComplete(b.tx, b.ix.ID); err != nil {
 				b.ctl.UnfreezeAppends()
-				return nil, b.cancel(err)
+				return err
 			}
 			b.ctl.SetPhase(engine.PhaseDirect)
 			b.ctl.UnfreezeAppends()
 			if err := b.tx.Commit(); err != nil {
-				return nil, err
+				return err
 			}
 			break
 		}
 		for _, e := range entries {
 			if err := b.applySideFileEntry(tree, e); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		b.st.SideFileApplied += uint64(len(entries))
@@ -398,7 +313,7 @@ func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
 		if b.opts.CheckpointKeys > 0 && sinceCkpt >= b.opts.CheckpointKeys {
 			st := engine.IBState{Index: b.ix.ID, Phase: engine.IBPhaseSideFile, CurrentRID: types.MaxRID, SFPos: pos}
 			if err := b.rotate(st); err != nil {
-				return nil, b.cancel(err)
+				return err
 			}
 			sinceCkpt = 0
 		}
@@ -406,12 +321,7 @@ func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
 	b.st.SideFile += time.Since(start)
 	b.st.SideFileLen = sf.Count()
 	b.prog.FinishPhase(progress.SideFile)
-	b.prog.Complete()
-
-	b.db.UnregisterBuild(b.ix.ID)
-	b.db.DropIBCheckpoint(b.ix.ID)
-	done, _ := b.db.Catalog().Index(b.ix.Name)
-	return &Result{Index: done, Stats: b.st}, nil
+	return nil
 }
 
 // applySideFileEntry applies one <operation, key> tuple "as a normal
@@ -419,116 +329,21 @@ func (b *builder) sfSideFilePhase(pos uint64) (*Result, error) {
 func (b *builder) applySideFileEntry(tree *btree.Tree, e sidefile.Entry) error {
 	switch e.Op {
 	case sidefile.OpInsert:
-		for attempt := 0; attempt < 32; attempt++ {
+		for attempt := 0; attempt < maxConflictRetries; attempt++ {
 			_, conflict, err := tree.TxnInsert(b.tx, e.Key, e.RID)
-			if err != nil {
-				return b.cancel(err)
+			if err != nil || conflict == nil {
+				return err
 			}
-			if conflict == nil {
-				return nil
-			}
-			action, err := b.verifyIBConflict(tree, e.Key, e.RID, conflict.OtherRID, conflict.Pseudo)
-			if err != nil {
-				return b.cancel(err)
-			}
-			switch action {
-			case conflictFatal:
-				return b.cancel(&engine.UniqueViolationError{Index: b.ix.Name, Key: e.Key, Existing: conflict.OtherRID})
-			case conflictSkipKey:
-				return nil
-			case conflictReplace:
-				if err := tree.ReplaceRID(b.tx, e.Key, conflict.OtherRID, e.RID); err != nil {
-					if _, isConflict := err.(*btree.UniqueConflict); isConflict {
-						continue
-					}
-					return b.cancel(err)
-				}
-				return nil
-			case conflictRetry:
-				continue
+			retry, err := b.resolveConflict(tree, btree.Entry{Key: e.Key, RID: e.RID}, conflict)
+			if err != nil || !retry {
+				return err
 			}
 		}
-		return b.cancel(fmt.Errorf("side-file insert conflict did not converge"))
+		return errConflictLoop
 	case sidefile.OpDelete:
 		_, err := tree.TxnPseudoDelete(b.tx, e.Key, e.RID)
-		if err != nil {
-			return b.cancel(err)
-		}
-		return nil
+		return err
 	default:
-		return b.cancel(fmt.Errorf("side-file entry with unknown op %v", e.Op))
-	}
-}
-
-// resumeSF continues an interrupted SF build from its last checkpoint.
-func (b *builder) resumeSF(state *engine.IBState) (*Result, error) {
-	b.tx = b.db.Begin()
-	b.startProgress()
-	b.seedProgress(state)
-	switch {
-	case state == nil:
-		// No checkpoint: rescan from the beginning. Current-RID was
-		// restored to the zero position by recovery, so nothing was lost.
-		sorter := b.newSorter()
-		defer sorter.Close()
-		if err := b.sfScan(sorter, 0); err != nil {
-			return nil, b.cancel(err)
-		}
-		runs, err := sorter.Finish()
-		if err != nil {
-			return nil, b.cancel(err)
-		}
-		b.st.Runs = len(runs)
-		if err := b.sfLoadPhase(runs, nil, nil); err != nil {
-			return nil, err
-		}
-		return b.sfSideFilePhase(0)
-
-	case state.Phase == engine.IBPhaseScan:
-		sorter, scanPos, err := b.resumeSorter(state.SortState)
-		if err != nil {
-			return nil, err
-		}
-		defer sorter.Close()
-		next, _, err := parseScanPosition(scanPos)
-		if err != nil {
-			return nil, err
-		}
-		// Recovery restored Current-RID to the checkpointed position, which
-		// matches the sort's scan position by construction. The scan chases
-		// the file's current end, not the end recorded at checkpoint time.
-		if err := b.sfScan(sorter, next); err != nil {
-			return nil, b.cancel(err)
-		}
-		runs, err := sorter.Finish()
-		if err != nil {
-			return nil, b.cancel(err)
-		}
-		b.st.Runs = len(runs)
-		if err := b.sfLoadPhase(runs, nil, nil); err != nil {
-			return nil, err
-		}
-		return b.sfSideFilePhase(0)
-
-	case state.Phase == engine.IBPhaseLoad:
-		ms, err := extsort.DecodeMergeState(state.MergeState)
-		if err != nil {
-			return nil, err
-		}
-		ls, err := btree.DecodeLoaderState(state.LoadState)
-		if err != nil {
-			return nil, err
-		}
-		b.st.Runs = len(ms.Runs)
-		if err := b.sfLoadPhase(nil, &ms, &ls); err != nil {
-			return nil, err
-		}
-		return b.sfSideFilePhase(0)
-
-	case state.Phase == engine.IBPhaseSideFile:
-		return b.sfSideFilePhase(state.SFPos)
-
-	default:
-		return nil, fmt.Errorf("core: SF build of %q in unexpected phase %v", b.ix.Name, state.Phase)
+		return fmt.Errorf("side-file entry with unknown op %v", e.Op)
 	}
 }

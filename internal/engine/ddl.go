@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"onlineindex/internal/btree"
@@ -56,32 +57,27 @@ type CreateIndexSpec struct {
 	Method  catalog.BuildMethod
 }
 
-// CreateIndexDescriptor performs the descriptor-creation step of an index
-// build — the step whose quiescing behaviour distinguishes the algorithms:
+// AddIndexDescriptor performs the descriptor-creation step of an index
+// build inside tx — the step whose quiescing behaviour distinguishes the
+// algorithms:
 //
 //   - NSF: "this is a short term quiesce of updates against the table ...
 //     achieved by IB acquiring a share (S) lock on the table and holding it
 //     for the duration of the index descriptor create operation" (§2.2.1).
-//     The quiesce guarantees no transaction has uncommitted updates that
-//     predate the descriptor, so every later rollback finds its index log
-//     records. The lock is released as soon as the descriptor commit is
-//     durable.
+//     tx is the QuiesceTable transaction, and the quiesce guarantees no
+//     transaction has uncommitted updates that predate the descriptor, so
+//     every later rollback finds its index log records. Committing tx
+//     makes the descriptor durable and ends the quiesce.
 //   - SF: "the descriptor for the new index is created and appended ...
 //     without quiescing (update) transactions" (§3.2.1).
-//   - Offline: the caller holds the table S lock for the whole build.
+//   - Offline: the caller holds a QuiesceTable transaction for the whole
+//     build and creates the descriptor in a transaction of its own.
 //
-// The returned transaction has already committed. The BuildCtl must be
-// registered by the caller *before* calling this for SF (transactions start
-// consulting it the moment the descriptor is visible).
-func (db *DB) CreateIndexDescriptor(spec CreateIndexSpec) (catalog.Index, error) {
-	return db.CreateIndexDescriptorWithCtl(spec, nil)
-}
-
-// CreateIndexDescriptorWithCtl is CreateIndexDescriptor with a hook that
+// The caller commits tx, or rolls it back on error. makeCtl, when set,
 // supplies the build control to register together with the descriptor: the
 // SF algorithm's Index_Build flag and Current-RID must be observable by the
 // very first transaction that sees the new descriptor.
-func (db *DB) CreateIndexDescriptorWithCtl(spec CreateIndexSpec, makeCtl func(catalog.Index) *BuildCtl) (catalog.Index, error) {
+func (db *DB) AddIndexDescriptor(tx *txn.Txn, spec CreateIndexSpec, makeCtl func(catalog.Index) *BuildCtl) (catalog.Index, error) {
 	tbl, ok := db.cat.Table(spec.Table)
 	if !ok {
 		return catalog.Index{}, fmt.Errorf("engine: no table %q", spec.Table)
@@ -115,30 +111,16 @@ func (db *DB) CreateIndexDescriptorWithCtl(spec CreateIndexSpec, makeCtl func(ca
 		ix.SideFile = db.cat.AllocFileID()
 	}
 
-	tx := db.Begin()
-	quiesced := spec.Method == catalog.MethodNSF
-	if quiesced {
-		// The short-term quiesce: waits out all update transactions (they
-		// hold IX on the table) and blocks new ones until the descriptor
-		// commit.
-		if err := tx.Lock(lock.TableName(tbl.ID), lock.S); err != nil {
-			tx.Rollback()
-			return catalog.Index{}, err
-		}
-	}
-
 	if _, err := tx.Log(&wal.Record{
 		Type: wal.TypeCreateIndex, Flags: wal.FlagRedo,
 		Payload: catalog.EncodeCreateIndex(&ix),
 	}); err != nil {
-		tx.Rollback()
 		return catalog.Index{}, err
 	}
 
 	// Create the physical structures.
 	tree, err := btree.Create(db.pool, ix.FileID, btree.Config{Unique: ix.Unique, Budget: db.cfg.TreeBudget}, tx)
 	if err != nil {
-		tx.Rollback()
 		return catalog.Index{}, err
 	}
 	tree.SetMetrics(btree.MetricsFrom(db.met))
@@ -146,7 +128,6 @@ func (db *DB) CreateIndexDescriptorWithCtl(spec CreateIndexSpec, makeCtl func(ca
 	if ix.SideFile != 0 {
 		sf, err = sidefile.Create(db.pool, ix.SideFile, tx)
 		if err != nil {
-			tx.Rollback()
 			return catalog.Index{}, err
 		}
 		sf.SetMetrics(sidefile.MetricsFrom(db.met))
@@ -158,7 +139,6 @@ func (db *DB) CreateIndexDescriptorWithCtl(spec CreateIndexSpec, makeCtl func(ca
 	db.mu.Lock()
 	if err := db.cat.AddIndex(&ix); err != nil {
 		db.mu.Unlock()
-		tx.Rollback()
 		return catalog.Index{}, err
 	}
 	db.trees[ix.ID] = tree
@@ -170,11 +150,6 @@ func (db *DB) CreateIndexDescriptorWithCtl(spec CreateIndexSpec, makeCtl func(ca
 		db.builds[ix.ID] = makeCtl(ix)
 	}
 	db.mu.Unlock()
-
-	// Commit makes the DDL durable and, for NSF, ends the quiesce.
-	if err := tx.Commit(); err != nil {
-		return catalog.Index{}, err
-	}
 	return ix, nil
 }
 
@@ -231,14 +206,30 @@ func (db *DB) DropIndex(name string) error {
 	return tx.Commit()
 }
 
-// QuiesceTable acquires a table S lock under a dedicated transaction and
-// returns it; the offline baseline holds it for the whole build. Callers
-// must Commit (or Rollback) the returned transaction to end the quiesce.
-func (db *DB) QuiesceTable(table types.TableID) (*txn.Txn, error) {
-	tx := db.Begin()
-	if err := tx.Lock(lock.TableName(table), lock.S); err != nil {
+// QuiesceTable acquires S locks on the tables, in the order given, under
+// one dedicated transaction and returns it. The offline baseline holds it
+// for the whole build; an NSF build creates all its descriptors inside it,
+// so no update transaction commits on any of the tables between the first
+// descriptor and the last (partition.Build quiesces every shard table this
+// way). A deadlock with an updater that holds IX on a later table and waits
+// on an earlier one makes the quiesce the victim; it then starts over.
+// Callers must Commit (or Rollback) the returned transaction to end the
+// quiesce.
+func (db *DB) QuiesceTable(tables ...types.TableID) (*txn.Txn, error) {
+	for {
+		tx := db.Begin()
+		var err error
+		for _, t := range tables {
+			if err = tx.Lock(lock.TableName(t), lock.S); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			return tx, nil
+		}
 		tx.Rollback()
-		return nil, err
+		if !errors.Is(err, lock.ErrDeadlock) {
+			return nil, err
+		}
 	}
-	return tx, nil
 }

@@ -35,16 +35,28 @@ func openDB(t *testing.T) *DB {
 	return db
 }
 
-// createCompleteIndex fabricates a complete, empty index directly (the
-// builders are in package core; engine tests exercise the DML paths).
-func createCompleteIndex(t *testing.T, db *DB, name string, cols []string, unique bool) catalog.Index {
+// createDescriptor creates a building index's descriptor in a transaction
+// of its own (the builders are in package core; engine tests exercise the
+// DML paths).
+func createDescriptor(t *testing.T, db *DB, spec CreateIndexSpec) catalog.Index {
 	t.Helper()
-	ix, err := db.CreateIndexDescriptor(CreateIndexSpec{
-		Name: name, Table: "items", Columns: cols, Unique: unique, Method: catalog.MethodNSF,
-	})
+	tx := db.Begin()
+	ix, err := db.AddIndexDescriptor(tx, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// createCompleteIndex fabricates a complete, empty index directly.
+func createCompleteIndex(t *testing.T, db *DB, name string, cols []string, unique bool) catalog.Index {
+	t.Helper()
+	ix := createDescriptor(t, db, CreateIndexSpec{
+		Name: name, Table: "items", Columns: cols, Unique: unique, Method: catalog.MethodNSF,
+	})
 	tx := db.Begin()
 	if err := db.SetIndexComplete(tx, ix.ID); err != nil {
 		t.Fatal(err)
@@ -332,12 +344,9 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if _, err := db.CreateTable("items", testSchema()); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := db.CreateIndexDescriptor(CreateIndexSpec{
+	ix := createDescriptor(t, db, CreateIndexSpec{
 		Name: "by_name", Table: "items", Columns: []string{"name"}, Method: catalog.MethodNSF,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tx0 := db.Begin()
 	if err := db.SetIndexComplete(tx0, ix.ID); err != nil {
 		t.Fatal(err)
@@ -492,15 +501,12 @@ func TestSchemaValidation(t *testing.T) {
 
 func TestIndexNotReadableWhileBuilding(t *testing.T) {
 	db := openDB(t)
-	_, err := db.CreateIndexDescriptor(CreateIndexSpec{
+	createDescriptor(t, db, CreateIndexSpec{
 		Name: "building", Table: "items", Columns: []string{"name"}, Method: catalog.MethodNSF,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tx := db.Begin()
 	defer tx.Rollback()
-	_, err = db.IndexLookup(tx, "building", keyenc.String("x"))
+	_, err := db.IndexLookup(tx, "building", keyenc.String("x"))
 	var nr *ErrIndexNotReadable
 	if !errors.As(err, &nr) {
 		t.Fatalf("err = %v, want ErrIndexNotReadable", err)

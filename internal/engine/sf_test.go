@@ -17,7 +17,8 @@ func sfFixture(t *testing.T) (*DB, catalog.Index, *BuildCtl) {
 	t.Helper()
 	db := openDB(t)
 	var ctl *BuildCtl
-	ix, err := db.CreateIndexDescriptorWithCtl(CreateIndexSpec{
+	tx := db.Begin()
+	ix, err := db.AddIndexDescriptor(tx, CreateIndexSpec{
 		Name: "sf_idx", Table: "items", Columns: []string{"name"}, Method: catalog.MethodSF,
 	}, func(ix catalog.Index) *BuildCtl {
 		ctl = NewBuildCtl(ix.ID, catalog.MethodSF, PhaseCapture)
@@ -26,6 +27,9 @@ func sfFixture(t *testing.T) (*DB, catalog.Index, *BuildCtl) {
 		return ctl
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	return db, ix, ctl

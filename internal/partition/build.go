@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"onlineindex/internal/catalog"
@@ -35,8 +36,10 @@ type Result struct {
 //  1. a redo-only PartMeta record registers the logical descriptor in
 //     StateBuilding *before* any shard work, so a crash at any later point
 //     finds a restartable logical build (FinishPending);
-//  2. the shard builds run (parallel or serial), each feeding the shared
-//     progress aggregate and its partition.N.progress gauge;
+//  2. every shard descriptor is created before any shard scans
+//     (startShards), then the shard builds run (parallel or serial), each
+//     feeding the shared progress aggregate and its partition.N.progress
+//     gauge;
 //  3. for unique indexes a completion sweep merges the shard trees and
 //     verifies that no committed key lives on two shards — the only class
 //     of duplicate the per-shard builders cannot see (unique.go handles
@@ -70,37 +73,44 @@ func Build(db *engine.DB, spec engine.CreateIndexSpec, o BuildOptions) (*Result,
 	n := len(pt.Parts)
 	results := make([]*core.Result, n)
 	errs := make([]error, n)
-	runShard := func(i int) {
-		results[i], errs[i] = core.Build(db, shardSpec(spec, i), shardOpts(db, o, spec.Name, i))
-		if errs[i] == nil {
-			setShardProgressGauge(db, i, 10000)
-		}
-	}
-	if o.Serial {
-		for i := 0; i < n; i++ {
-			runShard(i)
-			if errs[i] != nil {
-				break
+	started, err := startShards(db, o, spec, &pt)
+	if err == nil {
+		runShard := func(i int) {
+			results[i], errs[i] = started.Run(i)
+			if errs[i] == nil {
+				setShardProgressGauge(db, i, 10000)
 			}
 		}
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
+		if o.Serial {
+			for i := 0; i < n && err == nil; i++ {
 				runShard(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			if terr := abandonBuild(db, &pt, &pi); terr != nil {
-				return nil, errors.Join(err, terr)
+				err = errs[i]
 			}
-			return nil, err
+		} else {
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					runShard(i)
+				}(i)
+			}
+			wg.Wait()
+			for _, e := range errs {
+				if err == nil {
+					err = e
+				}
+			}
 		}
+		if cerr := started.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		if terr := abandonBuild(db, &pt, &pi); terr != nil {
+			return nil, errors.Join(err, terr)
+		}
+		return nil, err
 	}
 
 	if spec.Unique {
@@ -126,6 +136,25 @@ func Build(db *engine.DB, spec engine.CreateIndexSpec, o BuildOptions) (*Result,
 	}
 	res.Stats.Method = spec.Method
 	return res, nil
+}
+
+// startShards creates the descriptor of every shard index in partition
+// order before any shard scans (core.Start). For NSF one transaction
+// S-locks every shard table and creates all the descriptors under those
+// locks: once any routed transaction can see one shard's index, it sees
+// all of them, which the cross-shard unique probe (unique.go) relies on.
+func startShards(db *engine.DB, o BuildOptions, spec engine.CreateIndexSpec, pt *catalog.PartTable, shards ...int) (*core.Started, error) {
+	if shards == nil {
+		for i := range pt.Parts {
+			shards = append(shards, i)
+		}
+	}
+	specs := make([]engine.CreateIndexSpec, len(shards))
+	opts := make([]core.Options, len(shards))
+	for j, i := range shards {
+		specs[j], opts[j] = shardSpec(spec, i), shardOpts(db, o, spec.Name, i)
+	}
+	return core.Start(db, specs, opts)
 }
 
 // shardSpec derives shard i's build spec from the logical one.
@@ -293,36 +322,44 @@ func FinishPending(db *engine.DB, o BuildOptions) error {
 			Name: pi.Name, Table: pi.Table, Columns: pi.Columns,
 			Unique: pi.Unique, Method: pi.Method,
 		}
+		var missing []int
 		for i := range pt.Parts {
 			name := catalog.PartShardIndexName(pi.Name, i)
 			ix, ok := cat.Index(name)
-			if ok && ix.State == catalog.StateComplete {
+			if !ok {
+				missing = append(missing, i)
 				continue
 			}
-			if ok && ix.State == catalog.StateBuilding {
-				// Caller skipped ResumeAll for this index; resume it here.
-				pbs, err := db.PendingBuilds()
-				if err != nil {
-					return err
-				}
-				resumed := false
-				for _, pb := range pbs {
-					if pb.Index.Name == name {
-						if _, err := core.Resume(db, pb, o.Options); err != nil {
-							return err
-						}
-						resumed = true
-						break
-					}
-				}
-				if resumed {
-					continue
-				}
+			if ix.State != catalog.StateBuilding {
+				continue
+			}
+			// Caller skipped ResumeAll for this index; resume it here.
+			pbs, err := db.PendingBuilds()
+			if err != nil {
+				return err
+			}
+			k := slices.IndexFunc(pbs, func(pb engine.PendingBuild) bool { return pb.Index.Name == name })
+			if k < 0 {
 				return fmt.Errorf("partition: shard index %q building but not resumable", name)
 			}
-			// Shard never started (crash between logical create and this
-			// shard's descriptor): build it from the stored spec.
-			if _, err := core.Build(db, shardSpec(spec, i), shardOpts(db, o, pi.Name, i)); err != nil {
+			if _, err := core.Resume(db, pbs[k], o.Options); err != nil {
+				return err
+			}
+		}
+		if len(missing) > 0 {
+			// Shards that never started (crash before their descriptors
+			// committed): start them all, then build each from the stored
+			// spec.
+			started, err := startShards(db, o, spec, &pt, missing...)
+			if err == nil {
+				for j := 0; err == nil && j < len(missing); j++ {
+					_, err = started.Run(j)
+				}
+				if cerr := started.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
 				if terr := abandonBuild(db, &pt, &pi); terr != nil {
 					return errors.Join(err, terr)
 				}

@@ -38,6 +38,9 @@ test)
     go build ./...
     go vet ./...
     go test -race -short ./...
+    # The cross-shard one-winner race needs many schedules to show; without
+    # -race 200 runs take a few seconds.
+    go test -count=200 -run TestCrossPartitionUniqueOneWinner ./internal/partition
     # bench/ is its own module, so the root ./... does not reach it.
     (cd bench && go vet ./... && go test ./...)
     ;;
@@ -59,7 +62,7 @@ race)
         ./internal/buffer ./internal/lock ./internal/wal ./internal/txn \
         ./internal/btree ./internal/readcache ./internal/zonemap
     go test -race -count=2 -timeout 20m -run 'TestReadPathStress' ./internal/engine
-    go test -race -count=4 -timeout 20m -run 'TestCrossPartitionUniqueOneWinner' ./internal/partition
+    go test -race -count=300 -timeout 20m -run 'TestCrossPartitionUniqueOneWinner' ./internal/partition
     ;;
 admin-smoke)
     go build -o /tmp/onlineindex-idxbuild ./cmd/idxbuild
