@@ -27,7 +27,7 @@ type Loader struct {
 	comp       bool            // build prefix-compressed pages
 	levels     []*buffer.Frame // pinned current (rightmost) node per level; 0 = leaf
 	count      uint64
-	high       Entry
+	high       Entry // the last entry added; its key buffer is reused
 	finished   bool
 }
 
@@ -57,9 +57,6 @@ func (t *Tree) NewLoaderWith(fill float64, compress bool) *Loader {
 // Count returns the number of entries added so far.
 func (ld *Loader) Count() uint64 { return ld.count }
 
-// HighestKey returns the highest entry added so far (valid when Count > 0).
-func (ld *Loader) HighestKey() Entry { return ld.high }
-
 // Add appends the next entry, which must be >= every entry added before.
 func (ld *Loader) Add(e Entry) error {
 	if ld.finished {
@@ -80,8 +77,12 @@ func (ld *Loader) Add(e Entry) error {
 		ld.levels = append(ld.levels, f)
 	}
 	lf := ld.levels[0]
-	if !lf.Page().(*Node).hasRoomEntry(e.Key, ld.fillBudget) {
-		nf, err := ld.t.pool.NewPage(ld.t.file, NewLeafWith(ld.comp))
+	if full := lf.Page().(*Node); !full.hasRoomEntry(e.Key, ld.fillBudget) {
+		// Size the new leaf like the full one, so filling it allocates
+		// no more entry or key storage.
+		nl := NewLeafWith(ld.comp)
+		nl.reserve(len(full.entries), full.keyBytes())
+		nf, err := ld.t.pool.NewPage(ld.t.file, nl)
 		if err != nil {
 			return err
 		}
@@ -94,11 +95,9 @@ func (ld *Loader) Add(e Entry) error {
 		}
 		lf = nf
 	}
-	mutate(ld.t.pool, lf, func(n *Node) {
-		n.insertEntryAt(len(n.entries), Entry{Key: e.Key, RID: e.RID, Pseudo: e.Pseudo})
-	})
+	mutate(ld.t.pool, lf, func(n *Node) { n.insertEntryAt(len(n.entries), e) })
 	ld.count++
-	ld.high = Entry{Key: append([]byte(nil), e.Key...), RID: e.RID, Pseudo: e.Pseudo}
+	ld.setHigh(e)
 	return nil
 }
 
@@ -135,9 +134,9 @@ func (ld *Loader) AddBatch(es []Entry) error {
 				if !n.hasRoomEntry(e.Key, ld.fillBudget) {
 					return // next Add opens a fresh leaf
 				}
-				n.insertEntryAt(len(n.entries), Entry{Key: e.Key, RID: e.RID, Pseudo: e.Pseudo})
+				n.insertEntryAt(len(n.entries), e)
 				ld.count++
-				ld.high = Entry{Key: append([]byte(nil), e.Key...), RID: e.RID, Pseudo: e.Pseudo}
+				ld.setHigh(e)
 				i++
 			}
 		})
@@ -146,6 +145,11 @@ func (ld *Loader) AddBatch(es []Entry) error {
 		}
 	}
 	return nil
+}
+
+// setHigh records e as the last entry added, reusing the key buffer.
+func (ld *Loader) setHigh(e Entry) {
+	ld.high = Entry{Key: append(ld.high.Key[:0], e.Key...), RID: e.RID, Pseudo: e.Pseudo}
 }
 
 // addSep pushes a separator into level `level`, creating the level (with
@@ -274,7 +278,9 @@ func (ld *Loader) Checkpoint() (LoaderState, error) {
 	if err != nil {
 		return LoaderState{}, err
 	}
-	st := LoaderState{Count: ld.count, High: ld.high, PageCount: pc}
+	high := ld.high
+	high.Key = append([]byte(nil), high.Key...) // ld.high's buffer is reused
+	st := LoaderState{Count: ld.count, High: high, PageCount: pc}
 	for _, f := range ld.levels {
 		st.LevelPages = append(st.LevelPages, f.ID.Page)
 	}
@@ -301,7 +307,7 @@ func (t *Tree) RestartLoaderWith(st LoaderState, fill float64, compress bool) (*
 	}
 	ld := t.NewLoaderWith(fill, compress)
 	ld.count = st.Count
-	ld.high = st.High
+	ld.setHigh(st.High)
 	for level, pg := range st.LevelPages {
 		f, err := t.pool.Fetch(t.pid(pg))
 		if err != nil {

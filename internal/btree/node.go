@@ -79,6 +79,15 @@ type sep struct {
 // records only its suffix. In memory keys are always full — only the
 // marshalled image and the `used` accounting change — so search, insert and
 // split logic is oblivious to compression except through the size helpers.
+//
+// Key bytes live in slabs: a decoded page's keys share one slab, and keys
+// inserted later are carved from the spare capacity of the current slab
+// (when it runs out, the live keys move to a fresh one: relocate). Each key
+// is a 3-index slice, so appending to it can never reach a neighbour. A slab is append-only: bytes handed out
+// are never overwritten, so a key slice taken from a node stays valid after
+// the node changes. Two live Nodes must therefore never share a slab: a
+// Node is copied by value only from a freshly decoded one that is dropped
+// at once (Loader.Finish, and redo replacing a page's content).
 type Node struct {
 	page.Header
 	leaf   bool
@@ -93,7 +102,68 @@ type Node struct {
 	seps     []sep
 	children []types.PageNum
 
-	used int // bytes the marshalled image needs
+	used int    // bytes the marshalled image needs
+	slab []byte // key storage; len = bytes handed out (see the type comment)
+}
+
+// slabChunk is the smallest slab a node allocates.
+const slabChunk = 1024
+
+// slabSlack is the room a decoded node's slab keeps for inserts, so the
+// first few keys a write brings to a freshly read page do not move all of
+// its keys to a new slab.
+const slabSlack = 256
+
+// keyCopy returns a copy of key carved from the node's slab.
+func (n *Node) keyCopy(key []byte) []byte {
+	if cap(n.slab)-len(n.slab) < len(key) {
+		n.relocate(len(key))
+	}
+	start := len(n.slab)
+	n.slab = append(n.slab, key...)
+	return n.slab[start:len(n.slab):len(n.slab)]
+}
+
+// relocate copies the node's live keys into a fresh slab with room for
+// extra more bytes and half as much again as the live keys, so a node's
+// slabs cost O(1) copying per inserted byte. Dead bytes (removed entries,
+// keys a split moved away) stay behind in the old slab, which is left
+// untouched: slices taken from it stay valid, and the garbage collector
+// frees it once nobody holds one.
+func (n *Node) relocate(extra int) {
+	live := n.keyBytes()
+	slab := make([]byte, 0, max(live+live/2+extra, slabChunk))
+	carve := func(key []byte) []byte {
+		start := len(slab)
+		slab = append(slab, key...)
+		return slab[start:len(slab):len(slab)]
+	}
+	for i := range n.entries {
+		n.entries[i].Key = carve(n.entries[i].Key)
+	}
+	for i := range n.seps {
+		n.seps[i].key = carve(n.seps[i].key)
+	}
+	n.slab = slab
+}
+
+// reserve sizes an empty leaf for entries entries of keyBytes key bytes in
+// total, so filling it up to that allocates nothing.
+func (n *Node) reserve(entries, keyBytes int) {
+	n.entries = make([]Entry, 0, entries)
+	n.slab = make([]byte, 0, max(keyBytes, slabChunk))
+}
+
+// keyBytes returns the total length of the node's keys.
+func (n *Node) keyBytes() int {
+	total := 0
+	for _, e := range n.entries {
+		total += len(e.Key)
+	}
+	for _, s := range n.seps {
+		total += len(s.key)
+	}
+	return total
 }
 
 const nodeFixed = page.HeaderSize + 1 + 2 + 4 // header, flags, count, next
@@ -336,7 +406,7 @@ func (n *Node) insertEntryAt(i int, e Entry) {
 	n.adoptPrefix(e.Key)
 	n.entries = append(n.entries, Entry{})
 	copy(n.entries[i+1:], n.entries[i:])
-	n.entries[i] = Entry{Key: append([]byte(nil), e.Key...), RID: e.RID, Pseudo: e.Pseudo}
+	n.entries[i] = Entry{Key: n.keyCopy(e.Key), RID: e.RID, Pseudo: e.Pseudo}
 }
 
 // removeEntryAt removes leaf entry i. On a compressed page the prefix is
@@ -352,7 +422,7 @@ func (n *Node) insertSepAt(i int, s sep, rightChild types.PageNum) {
 	n.adoptPrefix(s.key)
 	n.seps = append(n.seps, sep{})
 	copy(n.seps[i+1:], n.seps[i:])
-	n.seps[i] = sep{key: append([]byte(nil), s.key...), rid: s.rid}
+	n.seps[i] = sep{key: n.keyCopy(s.key), rid: s.rid}
 	n.children = append(n.children, 0)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = rightChild
@@ -462,6 +532,23 @@ func (n *Node) UnmarshalPage(img []byte) error {
 	count := int(binary.LittleEndian.Uint16(img[off:]))
 	off += 2
 	n.entries, n.seps, n.children = nil, nil, nil
+	// One slab holds every key of the page: size it from the key lengths
+	// before decoding.
+	keysAt := off
+	if !n.leaf {
+		keysAt += 4 * (count + 1)
+	}
+	recFixed := 10 // RID
+	if n.leaf {
+		recFixed++ // pseudo flag
+	}
+	total := 0
+	for i, o := 0, keysAt; i < count && o+2 <= len(img); i++ {
+		kl := int(binary.LittleEndian.Uint16(img[o:]))
+		total += len(n.prefix) + kl
+		o += 2 + kl + recFixed
+	}
+	n.slab = make([]byte, 0, total+slabSlack)
 	if n.leaf {
 		n.entries = make([]Entry, 0, count)
 		for i := 0; i < count; i++ {
@@ -473,8 +560,7 @@ func (n *Node) UnmarshalPage(img []byte) error {
 			if off+kl+11 > len(img) {
 				return fmt.Errorf("btree: corrupt leaf (entry %d key)", i)
 			}
-			key := make([]byte, 0, len(n.prefix)+kl)
-			key = append(append(key, n.prefix...), img[off:off+kl]...)
+			key := n.decodeKey(img[off : off+kl])
 			off += kl
 			var rid types.RID
 			rid, off = getRID(img, off)
@@ -504,8 +590,7 @@ func (n *Node) UnmarshalPage(img []byte) error {
 		if off+kl+10 > len(img) {
 			return fmt.Errorf("btree: corrupt internal (sep %d key)", i)
 		}
-		key := make([]byte, 0, len(n.prefix)+kl)
-		key = append(append(key, n.prefix...), img[off:off+kl]...)
+		key := n.decodeKey(img[off : off+kl])
 		off += kl
 		var rid types.RID
 		rid, off = getRID(img, off)
@@ -513,6 +598,13 @@ func (n *Node) UnmarshalPage(img []byte) error {
 		n.used += n.sepRecBytes(key)
 	}
 	return nil
+}
+
+// decodeKey carves prefix+suffix from the slab.
+func (n *Node) decodeKey(suffix []byte) []byte {
+	start := len(n.slab)
+	n.slab = append(append(n.slab, n.prefix...), suffix...)
+	return n.slab[start:len(n.slab):len(n.slab)]
 }
 
 func putRID(img []byte, off int, r types.RID) int {

@@ -192,19 +192,30 @@ func (t *Tree) buildRight(n *Node, cut int) *Node {
 		right := NewLeaf()
 		right.comp = n.comp
 		right.next = n.next
-		for _, e := range n.entries[cut:] {
-			right.entries = append(right.entries, Entry{Key: append([]byte(nil), e.Key...), RID: e.RID, Pseudo: e.Pseudo})
-			right.used += entryBytes(e.Key)
-		}
+		right.adoptEntries(n.entries[cut:])
 		right.resetPrefix() // no-op uncompressed; recomputes prefix+used otherwise
 		return right
 	}
 	children := append([]types.PageNum(nil), n.children[cut+1:]...)
-	seps := make([]sep, 0, len(n.seps)-cut-1)
-	for _, s := range n.seps[cut+1:] {
-		seps = append(seps, sep{key: append([]byte(nil), s.key...), rid: s.rid})
+	return newInternalCopy(children, n.seps[cut+1:], n.comp)
+}
+
+// adoptEntries gives an empty leaf copies of es, their keys in a slab of
+// its own.
+func (n *Node) adoptEntries(es []Entry) {
+	n.entries = append(make([]Entry, 0, len(es)), es...)
+	for _, e := range es {
+		n.used += entryBytes(e.Key)
 	}
-	return NewInternalWith(children, seps, n.comp)
+	n.relocate(0)
+}
+
+// newInternalCopy is NewInternalWith over copies of seps, their keys in a
+// slab of the new node's own.
+func newInternalCopy(children []types.PageNum, seps []sep, compress bool) *Node {
+	n := NewInternalWith(children, append(make([]sep, 0, len(seps)), seps...), compress)
+	n.relocate(0)
+	return n
 }
 
 // truncateLeft applies the left half of a split to the existing node.
@@ -252,18 +263,11 @@ func (t *Tree) splitRoot(tl rm.TxnLogger, rootF *buffer.Frame, root *Node, key [
 	if root.leaf {
 		left = NewLeaf()
 		left.comp = root.comp
-		for _, e := range root.entries[:cut] {
-			left.entries = append(left.entries, Entry{Key: append([]byte(nil), e.Key...), RID: e.RID, Pseudo: e.Pseudo})
-			left.used += entryBytes(e.Key)
-		}
+		left.adoptEntries(root.entries[:cut])
 		left.resetPrefix()
 	} else {
 		children := append([]types.PageNum(nil), root.children[:cut+1]...)
-		seps := make([]sep, 0, cut)
-		for _, s := range root.seps[:cut] {
-			seps = append(seps, sep{key: append([]byte(nil), s.key...), rid: s.rid})
-		}
-		left = NewInternalWith(children, seps, root.comp)
+		left = newInternalCopy(children, root.seps[:cut], root.comp)
 	}
 
 	lf, err := t.pool.NewPage(t.file, left)

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -235,12 +236,11 @@ type builder struct {
 // order of the index.
 const ridSuffix = 10
 
-func encodeItem(key []byte, rid types.RID) []byte {
-	out := make([]byte, 0, len(key)+ridSuffix)
-	out = append(out, key...)
-	var tail [ridSuffix]byte
-	putRIDBytes(tail[:], rid)
-	return append(out, tail[:]...)
+// appendRIDBytes appends rid's big-endian sort-item suffix to dst.
+func appendRIDBytes(dst []byte, r types.RID) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.PageID.File))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.PageID.Page))
+	return binary.BigEndian.AppendUint16(dst, uint16(r.Slot))
 }
 
 func decodeItem(item []byte) (key []byte, rid types.RID, err error) {
@@ -251,26 +251,11 @@ func decodeItem(item []byte) (key []byte, rid types.RID, err error) {
 	return item[:cut], getRIDBytes(item[cut:]), nil
 }
 
-func putRIDBytes(dst []byte, r types.RID) {
-	be := func(off int, v uint32) {
-		dst[off] = byte(v >> 24)
-		dst[off+1] = byte(v >> 16)
-		dst[off+2] = byte(v >> 8)
-		dst[off+3] = byte(v)
-	}
-	be(0, uint32(r.PageID.File))
-	be(4, uint32(r.PageID.Page))
-	dst[8] = byte(uint16(r.Slot) >> 8)
-	dst[9] = byte(r.Slot)
-}
-
 func getRIDBytes(src []byte) types.RID {
-	be := func(off int) uint32 {
-		return uint32(src[off])<<24 | uint32(src[off+1])<<16 | uint32(src[off+2])<<8 | uint32(src[off+3])
-	}
 	return types.RID{
-		PageID: types.PageID{File: types.FileID(be(0)), Page: types.PageNum(be(4))},
-		Slot:   types.SlotNum(uint16(src[8])<<8 | uint16(src[9])),
+		PageID: types.PageID{File: types.FileID(binary.BigEndian.Uint32(src)),
+			Page: types.PageNum(binary.BigEndian.Uint32(src[4:]))},
+		Slot: types.SlotNum(binary.BigEndian.Uint16(src[8:])),
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"time"
 
 	"onlineindex/internal/btree"
@@ -22,7 +23,12 @@ func (b *builder) insert() error {
 	}
 	start := time.Now()
 	cursor := &btree.IBCursor{}
-	var batch []btree.Entry
+	// The merge lends its items, so the batch copies its keys into arena.
+	// Both reset only once the batch empties: conflict retries reslice
+	// batch, and its keys must stay put until then.
+	ents := make([]btree.Entry, 0, b.opts.BatchSize)
+	batch := ents
+	var arena []byte
 	var sinceCkpt int
 	var lastItem []byte
 	// merged counts every key consumed from the merge (absolute, so it lines
@@ -39,7 +45,7 @@ func (b *builder) insert() error {
 			b.st.KeysInserted += uint64(res.Inserted)
 			b.st.KeysSkipped += uint64(res.Skipped)
 			if err != nil || conflict == nil {
-				batch = batch[:0]
+				batch, arena = ents[:0], arena[:0]
 				return err
 			}
 			if at > 0 {
@@ -50,7 +56,9 @@ func (b *builder) insert() error {
 			case err != nil:
 				return err
 			case !retry:
-				batch, retries = batch[at+1:], 0
+				if batch, retries = batch[at+1:], 0; len(batch) == 0 {
+					batch, arena = ents[:0], arena[:0]
+				}
 			case retries == maxConflictRetries:
 				return errConflictLoop
 			default:
@@ -73,7 +81,9 @@ func (b *builder) insert() error {
 		if err != nil {
 			return err
 		}
-		batch = append(batch, btree.Entry{Key: append([]byte(nil), key...), RID: rid})
+		start := len(arena)
+		arena = append(arena, key...)
+		batch = append(batch, btree.Entry{Key: arena[start:len(arena):len(arena)], RID: rid})
 		lastItem = item
 		merged++
 		if len(batch) >= b.opts.BatchSize {
@@ -81,6 +91,11 @@ func (b *builder) insert() error {
 				return err
 			}
 			b.prog.Advance(progress.Load, merged)
+			// Yield between batches. NSF transactions maintain this tree
+			// throughout the loop, and beside a builder that keeps its
+			// processor busy, one woken onto that processor would wait out
+			// a scheduler quantum before it runs.
+			runtime.Gosched()
 		}
 		sinceCkpt++
 		if b.opts.CheckpointKeys > 0 && sinceCkpt >= b.opts.CheckpointKeys {

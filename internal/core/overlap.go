@@ -28,16 +28,21 @@ const overlapDepth = 2
 
 // loadBatch is one merge→load hand-off unit.
 type loadBatch struct {
-	entries []btree.Entry
-	state   extsort.MergeState // merge position after the batch's last entry
-	merged  uint64             // absolute keys consumed after this batch
-	done    bool               // merge exhausted
-	err     error
+	entries  []btree.Entry
+	state    extsort.MergeState // merge position after the batch's last entry
+	merged   uint64             // absolute keys consumed after this batch
+	keyBytes int                // bytes of the batch's key arena
+	done     bool               // merge exhausted
+	err      error
 }
 
 // nextLoadBatch consumes up to overlapBatchSize entries from the merger.
-func nextLoadBatch(merger *extsort.Merger, merged uint64) loadBatch {
-	bt := loadBatch{merged: merged}
+// The merge lends its items, and a batch may wait in the hand-off channel
+// while the merge runs ahead, so each batch copies its keys into an arena
+// of its own, sized by keyBytes (the previous batch's key bytes).
+func nextLoadBatch(merger *extsort.Merger, merged uint64, keyBytes int) loadBatch {
+	bt := loadBatch{merged: merged, entries: make([]btree.Entry, 0, overlapBatchSize)}
+	arena := make([]byte, 0, keyBytes)
 	for len(bt.entries) < overlapBatchSize {
 		item, _, ok, err := merger.Next()
 		if err != nil {
@@ -53,9 +58,12 @@ func nextLoadBatch(merger *extsort.Merger, merged uint64) loadBatch {
 			bt.err = err
 			return bt
 		}
-		bt.entries = append(bt.entries, btree.Entry{Key: append([]byte(nil), key...), RID: rid})
+		start := len(arena)
+		arena = append(arena, key...)
+		bt.entries = append(bt.entries, btree.Entry{Key: arena[start:len(arena):len(arena)], RID: rid})
 		bt.merged++
 	}
+	bt.keyBytes = len(arena)
 	bt.state = merger.State()
 	return bt
 }
@@ -69,9 +77,10 @@ func nextLoadBatch(merger *extsort.Merger, merged uint64) loadBatch {
 // quiescent again by the time overlapMerge returns.
 func overlapMerge(merger *extsort.Merger, merged uint64, concurrent bool, consume func(loadBatch) error) error {
 	if !concurrent {
+		keyBytes := 0
 		for {
-			bt := nextLoadBatch(merger, merged)
-			merged = bt.merged
+			bt := nextLoadBatch(merger, merged, keyBytes)
+			merged, keyBytes = bt.merged, bt.keyBytes
 			if bt.err != nil {
 				return bt.err
 			}
@@ -87,10 +96,10 @@ func overlapMerge(merger *extsort.Merger, merged uint64, concurrent bool, consum
 	stop := make(chan struct{})
 	go func() {
 		defer close(ch)
-		m := merged
+		m, keyBytes := merged, 0
 		for {
-			bt := nextLoadBatch(merger, m)
-			m = bt.merged
+			bt := nextLoadBatch(merger, m, keyBytes)
+			m, keyBytes = bt.merged, bt.keyBytes
 			select {
 			case ch <- bt:
 			case <-stop:

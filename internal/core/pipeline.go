@@ -94,37 +94,58 @@ func pipelineScan(h *heap.Table, from, end types.PageNum, feeds []*scanFeed,
 	return parallelScan(h, from, end, feeds, workers, advance, checkpointPages, checkpoint)
 }
 
-// extractScratch is one extraction worker's reusable key-assembly buffer.
-// Sort items are handed to the sorters with ownership (Sorter.AddOwned
-// retains them), so each item still needs its own exact-size allocation; the
-// scratch absorbs the variable-length key assembly and its growth, taking
-// extraction from ~10 heap allocations per record (row decode, per-column
-// copies, key growth, item copy) down to the one retained item.
+// extractScratch holds one extraction worker's buffers: the arena a page's
+// sort items are assembled in, their end offsets, and the slices handed out
+// over the arena. The sorters copy what they are fed (extsort.PartSorter.
+// FeedPage keeps none of the caller's memory), so a page's items are dead
+// once feedPage returns and the serial scan reuses one scratch for every
+// page: extraction allocates nothing per record once the buffers have
+// grown. The parallel scan hands each page to the sequencer on another
+// goroutine, so its workers detach the buffers after every page.
 type extractScratch struct {
-	key []byte
+	arena []byte
+	ends  []int
+	items [][]byte
+	out   [][][]byte
 }
 
-// extractPage builds every feed's sort items for one page batch. Pure CPU
-// work over the batch's snapshot — safe off the latch and off the scan
-// goroutine. sc is owned by the calling worker and reused across pages.
+// detach gives the scratch fresh buffers of the same sizes, leaving the
+// ones the last page's items point into to their new owner.
+func (sc *extractScratch) detach() {
+	sc.arena = make([]byte, 0, cap(sc.arena))
+	sc.items = make([][]byte, 0, cap(sc.items))
+	sc.out = make([][][]byte, 0, cap(sc.out))
+}
+
+// extractPage builds every feed's sort items for one page batch
+// (items[feed][record]) in sc's arena. Pure CPU work over the batch's
+// snapshot — safe off the latch and off the scan goroutine.
 func extractPage(feeds []*scanFeed, batch *heap.PageBatch, sc *extractScratch) ([][][]byte, error) {
-	out := make([][][]byte, len(feeds))
-	for fi, f := range feeds {
-		items := make([][]byte, batch.Len())
-		for i := range items {
-			key, err := engine.AppendIndexKeyFromRecord(sc.key[:0], f.ix, batch.Rec(i))
+	n := batch.Len()
+	sc.arena, sc.ends = sc.arena[:0], sc.ends[:0]
+	for _, f := range feeds {
+		for i := 0; i < n; i++ {
+			var err error
+			sc.arena, err = engine.AppendIndexKeyFromRecord(sc.arena, f.ix, batch.Rec(i))
 			if err != nil {
 				return nil, err
 			}
-			sc.key = key[:0] // keep any growth for the next record
-			item := make([]byte, len(key)+ridSuffix)
-			copy(item, key)
-			putRIDBytes(item[len(key):], batch.RID(i))
-			items[i] = item
+			sc.arena = appendRIDBytes(sc.arena, batch.RID(i))
+			sc.ends = append(sc.ends, len(sc.arena))
 		}
-		out[fi] = items
 	}
-	return out, nil
+	// Slice only now: the appends above may have moved the arena.
+	sc.items = sc.items[:0]
+	start := 0
+	for _, end := range sc.ends {
+		sc.items = append(sc.items, sc.arena[start:end:end])
+		start = end
+	}
+	sc.out = sc.out[:0]
+	for fi := range feeds {
+		sc.out = append(sc.out, sc.items[fi*n:(fi+1)*n])
+	}
+	return sc.out, nil
 }
 
 // feedPage pushes one page's extracted items into the sorters (stage 3) and
@@ -270,6 +291,7 @@ func parallelScan(h *heap.Table, from, end types.PageNum, feeds []*scanFeed,
 			for j := range jobs {
 				t0 := time.Now()
 				items, err := extractPage(feeds, &j.batch, &sc)
+				sc.detach() // the page is in flight to the sequencer
 				r := pageResult{seq: j.seq, items: items, n: j.batch.Len(),
 					busy: time.Since(t0), err: err}
 				select {

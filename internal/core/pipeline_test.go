@@ -16,10 +16,7 @@ func indexEntries(t testing.TB, db *engine.DB, name string) []byte {
 	t.Helper()
 	var out []byte
 	err := db.IndexScan(nil, name, nil, nil, func(key []byte, rid types.RID) bool {
-		out = append(out, key...)
-		var tail [ridSuffix]byte
-		putRIDBytes(tail[:], rid)
-		out = append(out, tail[:]...)
+		out = appendRIDBytes(append(out, key...), rid)
 		return true
 	})
 	if err != nil {

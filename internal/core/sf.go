@@ -79,39 +79,38 @@ func (b *builder) loadSerial(merged uint64, ckptKeys int) (uint64, error) {
 	// adjacent; hold one entry back so a duplicate pair can be verified
 	// before anything reaches the loader. pendMergeState remembers the merge
 	// position from before the held-back entry was consumed, so checkpoints
-	// never lose it.
-	var pend *btree.Entry
+	// never lose it. The held-back entry outlives the merger's item, so its
+	// key is a copy: pend.Key and spare are two buffers that swap whenever
+	// the incoming entry (copied into spare) is held back in pend's place.
+	var pend btree.Entry
+	havePend := false
+	var spare []byte
 	var pendMergeState extsort.MergeState
-	verifyDup := func(next btree.Entry) error {
+	// verifyDup settles a duplicate key value between pend and next under
+	// the §2.2.3 protocol: it reports which records still carry the key,
+	// and fails when both do (or, offline, at once).
+	verifyDup := func(next btree.Entry) (okPend, okNext bool, err error) {
+		violation := &engine.UniqueViolationError{Index: b.ix.Name, Key: next.Key, Existing: pend.RID}
 		if b.ctl == nil {
-			return &engine.UniqueViolationError{Index: b.ix.Name, Key: next.Key, Existing: pend.RID}
+			return false, false, violation
 		}
 		// Lock both records S and re-extract their keys.
 		if err := b.tx.Lock(lock.RecordName(pend.RID), lock.S); err != nil {
-			return err
+			return false, false, err
 		}
 		if err := b.tx.Lock(lock.RecordName(next.RID), lock.S); err != nil {
-			return err
+			return false, false, err
 		}
-		okPend, err := b.recordHasKey(pend.RID, pend.Key)
-		if err != nil {
-			return err
+		if okPend, err = b.recordHasKey(pend.RID, pend.Key); err != nil {
+			return false, false, err
 		}
-		okNext, err := b.recordHasKey(next.RID, next.Key)
-		if err != nil {
-			return err
+		if okNext, err = b.recordHasKey(next.RID, next.Key); err != nil {
+			return false, false, err
 		}
-		switch {
-		case okPend && okNext:
-			return &engine.UniqueViolationError{Index: b.ix.Name, Key: next.Key, Existing: pend.RID}
-		case okPend:
-			// next's record changed since extraction: drop next, keep pend.
-		case okNext:
-			*pend = next // pend's record changed: replace
-		default:
-			pend = nil // both gone
+		if okPend && okNext {
+			return false, false, violation
 		}
-		return nil
+		return okPend, okNext, nil
 	}
 
 	sinceCkpt := 0
@@ -137,29 +136,34 @@ func (b *builder) loadSerial(merged uint64, ckptKeys int) (uint64, error) {
 		if merged%64 == 0 {
 			b.prog.Advance(progress.Load, merged)
 		}
-		e := btree.Entry{Key: key, RID: rid}
 		if b.ix.Unique {
-			// The held-back entry outlives the merger's item: copy it.
-			e.Key = append([]byte(nil), key...)
+			spare = append(spare[:0], key...)
+			e := btree.Entry{Key: spare, RID: rid}
 			switch {
-			case pend == nil:
-				pend, pendMergeState = &e, preState
+			case !havePend:
+				pend, spare, havePend, pendMergeState = e, pend.Key, true, preState
 			case string(pend.Key) == string(e.Key):
-				if err := verifyDup(e); err != nil {
+				okPend, okNext, err := verifyDup(e)
+				switch {
+				case err != nil:
 					return merged, err
-				}
-				if pend == nil {
+				case okPend:
+					// next's record changed since extraction: drop next, keep pend.
+				case okNext:
+					pend, spare = e, pend.Key // pend's record changed: replace
+				default:
+					havePend = false // both gone
 					continue
 				}
 			default:
-				if err := b.loader.Add(*pend); err != nil {
+				if err := b.loader.Add(pend); err != nil {
 					return merged, err
 				}
 				b.st.KeysInserted++
-				pend, pendMergeState = &e, preState
+				pend, spare, pendMergeState = e, pend.Key, preState
 			}
 		} else {
-			if err := b.loader.Add(e); err != nil {
+			if err := b.loader.Add(btree.Entry{Key: key, RID: rid}); err != nil {
 				return merged, err
 			}
 			b.st.KeysInserted++
@@ -167,7 +171,7 @@ func (b *builder) loadSerial(merged uint64, ckptKeys int) (uint64, error) {
 		sinceCkpt++
 		if ckptKeys > 0 && sinceCkpt >= ckptKeys {
 			ms := b.merger.State()
-			if pend != nil {
+			if havePend {
 				ms = pendMergeState // resume re-reads the held-back entry
 			}
 			if err := b.checkpointLoad(ms); err != nil {
@@ -176,8 +180,8 @@ func (b *builder) loadSerial(merged uint64, ckptKeys int) (uint64, error) {
 			sinceCkpt = 0
 		}
 	}
-	if pend != nil {
-		if err := b.loader.Add(*pend); err != nil {
+	if havePend {
+		if err := b.loader.Add(pend); err != nil {
 			return merged, err
 		}
 		b.st.KeysInserted++

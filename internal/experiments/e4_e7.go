@@ -318,7 +318,7 @@ func E7SortRestart(cfg Config) error {
 			if prev != nil && bytes.Compare(prev, it) > 0 {
 				return fmt.Errorf("E7: output not sorted")
 			}
-			prev = it
+			prev = append(prev[:0], it...) // the merge lends its items
 			count++
 		}
 		m.Close()

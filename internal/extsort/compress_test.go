@@ -44,7 +44,7 @@ func sortAllWith(t *testing.T, fs *vfs.MemFS, items [][]byte, capacity int, comp
 		if !ok {
 			return out, spilled
 		}
-		out = append(out, it)
+		out = append(out, bytes.Clone(it))
 	}
 }
 
@@ -128,7 +128,7 @@ func TestCompressedSortCheckpointRestart(t *testing.T) {
 		if !ok {
 			break
 		}
-		out = append(out, it)
+		out = append(out, bytes.Clone(it))
 	}
 	checkSorted(t, out, len(all))
 }

@@ -40,7 +40,7 @@ func sortAll(t *testing.T, fs *vfs.MemFS, items [][]byte, capacity int) [][]byte
 		if !ok {
 			return out
 		}
-		out = append(out, it)
+		out = append(out, bytes.Clone(it))
 	}
 }
 
@@ -219,7 +219,7 @@ func TestSortPhaseCheckpointRestart(t *testing.T) {
 		if !ok {
 			break
 		}
-		out = append(out, it)
+		out = append(out, bytes.Clone(it))
 	}
 	checkSorted(t, out, 5000)
 	for i, o := range out {
@@ -256,7 +256,7 @@ func TestMergePhaseCheckpointRestart(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatal(err, ok)
 		}
-		out = append(out, it)
+		out = append(out, bytes.Clone(it))
 		if i == 999 {
 			st = m.State()
 			out = out[:1000] // caller truncates its output to the checkpoint
@@ -284,7 +284,7 @@ func TestMergePhaseCheckpointRestart(t *testing.T) {
 		if !ok {
 			break
 		}
-		out = append(out, it)
+		out = append(out, bytes.Clone(it))
 	}
 	checkSorted(t, out, 3000)
 	for i, o := range out {
@@ -327,7 +327,7 @@ func TestCheckpointAtEveryIntervalStillCorrect(t *testing.T) {
 		if !ok {
 			break
 		}
-		out = append(out, it)
+		out = append(out, bytes.Clone(it))
 	}
 	checkSorted(t, out, 800)
 }
@@ -363,7 +363,7 @@ func TestPropertySortMatchesStdlib(t *testing.T) {
 			if !ok {
 				break
 			}
-			out = append(out, it)
+			out = append(out, bytes.Clone(it))
 		}
 		want := make([][]byte, len(data))
 		copy(want, data)
@@ -404,17 +404,17 @@ func TestEmptySort(t *testing.T) {
 }
 
 func TestLoserTreeBasics(t *testing.T) {
-	leaves := []slot{
-		{tag: 0, item: []byte("c"), ok: true},
-		{tag: 0, item: []byte("a"), ok: true},
-		{tag: 0, item: []byte("b"), ok: true},
-		{},
+	lt := newLoserTree(4, false)
+	for i, it := range []string{"c", "a", "b"} {
+		lt.setRun(i, 0, []byte(it))
 	}
-	lt := newLoserTree(leaves)
+	lt.build()
 	var got []string
 	for !lt.empty() {
-		got = append(got, string(lt.winnerSlot().item))
-		lt.replaceWinner(slot{})
+		w := lt.winner()
+		got = append(got, string(lt.items[w]))
+		lt.clear(w)
+		lt.adjust(w)
 	}
 	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("drain order = %v", got)
@@ -423,12 +423,11 @@ func TestLoserTreeBasics(t *testing.T) {
 
 func TestLoserTreeTagOrdering(t *testing.T) {
 	// Run tags dominate: tag-0 items all emit before tag-1 items.
-	leaves := []slot{
-		{tag: 1, item: []byte("a"), ok: true},
-		{tag: 0, item: []byte("z"), ok: true},
-	}
-	lt := newLoserTree(leaves)
-	if string(lt.winnerSlot().item) != "z" {
-		t.Fatalf("winner = %q, want z (tag 0 wins)", lt.winnerSlot().item)
+	lt := newLoserTree(2, false)
+	lt.setRun(0, 1, []byte("a"))
+	lt.setRun(1, 0, []byte("z"))
+	lt.build()
+	if w := lt.winner(); string(lt.items[w]) != "z" {
+		t.Fatalf("winner = %q, want z (tag 0 wins)", lt.items[w])
 	}
 }

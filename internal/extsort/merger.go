@@ -136,43 +136,25 @@ func ResumeMergerWith(fs vfs.FS, st MergeState, opts MergeOptions) (*Merger, err
 }
 
 func (m *Merger) start() error {
-	leaves := make([]slot, max(1, len(m.readers)))
+	m.tree = newLoserTree(max(1, len(m.readers)), true)
 	for i, rd := range m.readers {
 		item, ok, err := rd.next()
 		if err != nil {
 			return err
 		}
 		if ok {
-			// tag = leaf index so the winner identifies its source stream;
-			// comparisons use the item first via a dedicated ordering below.
-			leaves[i] = slot{tag: uint64(i), item: item, ok: true}
+			m.tree.setMerge(i, item)
 		}
 	}
-	m.tree = newMergeTree(leaves)
+	m.tree.build()
 	m.started = true
 	return nil
 }
 
-// newMergeTree builds a loser tree ordered by item (ties by leaf index so
-// the merge is stable across streams in run order — identical keys keep
-// their relative positions, which side-file application relies on).
-func newMergeTree(leaves []slot) *loserTree {
-	// The generic loserTree orders by (tag, item); for merging we need
-	// (item, tag). Wrap by swapping at the comparison level: encode the
-	// ordering in a dedicated tree type would duplicate code, so instead the
-	// merge uses mergeLess via a small shim tree.
-	t := &loserTree{n: len(leaves), tree: make([]int, len(leaves)), leaves: leaves, merge: true}
-	for i := range t.tree {
-		t.tree[i] = -1
-	}
-	for i := len(leaves) - 1; i >= 0; i-- {
-		t.adjust(i)
-	}
-	return t
-}
-
 // Next returns the next item in merged order along with the index of the
-// run it came from; ok=false at the end.
+// run it came from; ok=false at the end. The item is borrowed: it stays
+// valid until the next call to Next, and a caller that keeps it longer
+// must copy it.
 func (m *Merger) Next() ([]byte, int, bool, error) {
 	if !m.started {
 		if err := m.start(); err != nil {
@@ -183,17 +165,19 @@ func (m *Merger) Next() ([]byte, int, bool, error) {
 		return nil, 0, false, nil
 	}
 	w := m.tree.winner()
-	out := m.tree.leaves[w].item
+	out := m.tree.items[w]
 	m.counters[w]++
+	// The reader fills its other buffer, so out survives the refill.
 	item, ok, err := m.readers[w].next()
 	if err != nil {
 		return nil, 0, false, err
 	}
 	if ok {
-		m.tree.replaceWinner(slot{tag: uint64(w), item: item, ok: true})
+		m.tree.setMerge(w, item)
 	} else {
-		m.tree.replaceWinner(slot{})
+		m.tree.clear(w)
 	}
+	m.tree.adjust(w)
 	return out, w, true, nil
 }
 

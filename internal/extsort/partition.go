@@ -118,7 +118,7 @@ func (p *PartSorter) worker(i int) {
 			continue // drain without working; the feed is unwinding
 		}
 		for _, it := range msg.items {
-			if err := s.AddOwned(it); err != nil {
+			if err := s.Add(it); err != nil {
 				p.setErr(err)
 				break
 			}
@@ -163,7 +163,9 @@ func (p *PartSorter) Count() uint64 {
 }
 
 // FeedPage pushes one visited page's items into the sort, round-robin by
-// page. Items are owned by the sorter from here on (AddOwned semantics).
+// page. Nothing keeps the caller's memory after it returns: inline mode
+// copies each item into a tournament leaf, concurrent mode copies the page
+// into an arena of its own that travels to the partition worker.
 // Pages must arrive in scan order — the round-robin assignment is then a
 // pure function of the page ordinal, so a resumed scan re-feeds
 // deterministically (assignment across incarnations may differ, which is
@@ -175,7 +177,7 @@ func (p *PartSorter) FeedPage(items [][]byte) error {
 	if !p.conc {
 		s := p.parts[i]
 		for _, it := range items {
-			if err := s.AddOwned(it); err != nil {
+			if err := s.Add(it); err != nil {
 				return err
 			}
 		}
@@ -187,14 +189,26 @@ func (p *PartSorter) FeedPage(items [][]byte) error {
 	if p.stopped {
 		return fmt.Errorf("extsort: FeedPage after Close")
 	}
-	p.feed[i] <- partMsg{items: items}
+	p.feed[i] <- partMsg{items: copyPage(items)}
 	return nil
 }
 
-// AddOwned pushes a single item (serial-compatible entry point used by
-// tests and non-paged callers); in partitioned mode it lands in the
-// partition of an implicit one-item page.
-func (p *PartSorter) AddOwned(it []byte) error { return p.FeedPage([][]byte{it}) }
+// copyPage copies a page's items into one arena: two allocations per page
+// however many items it holds.
+func copyPage(items [][]byte) [][]byte {
+	n := 0
+	for _, it := range items {
+		n += len(it)
+	}
+	arena := make([]byte, 0, n)
+	out := make([][]byte, len(items))
+	for j, it := range items {
+		start := len(arena)
+		arena = append(arena, it...)
+		out[j] = arena[start:len(arena):len(arena)]
+	}
+	return out
+}
 
 // quiesce waits until every partition worker has consumed everything fed
 // so far. No-op in inline mode.

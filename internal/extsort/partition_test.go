@@ -42,7 +42,7 @@ func mergeRuns(t *testing.T, fs *vfs.MemFS, runs []RunMeta, opts MergeOptions) [
 		if !ok {
 			return out
 		}
-		out = append(out, it)
+		out = append(out, bytes.Clone(it))
 	}
 }
 

@@ -170,7 +170,8 @@ type runReader struct {
 	bufOff int64 // file offset of rdbuf[0]
 	count  uint64
 	comp   bool
-	prev   []byte // last reconstituted item (compressed runs only)
+	items  [2][]byte // item buffers, alternated so the last item outlives the next read
+	cur    int       // index into items of the last item returned
 
 	pf     chan pfBlock  // prefetched chunks; nil = synchronous reads
 	pfStop chan struct{} // closed by close() to unstick a blocked send
@@ -196,10 +197,10 @@ func openRun(fs vfs.FS, meta RunMeta, comp bool) (*runReader, error) {
 	return &runReader{f: f, comp: comp}, nil
 }
 
-// next returns the next item, or ok=false at end of run. For compressed
-// runs it reconstitutes prev[:shared] + suffix; the returned slice is
-// freshly allocated every call (the reader retains it as the next
-// predecessor, so callers must treat it as read-only, which they do).
+// next returns the next item, or ok=false at end of run. The item lives in
+// one of the reader's two buffers and stays valid until the call after
+// next; for compressed runs the other buffer holds the predecessor that
+// prev[:shared] + suffix reconstitutes against.
 func (r *runReader) next() ([]byte, bool, error) {
 	hdr, err := r.read(4)
 	if err == io.EOF {
@@ -208,30 +209,32 @@ func (r *runReader) next() ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	var out []byte
+	prev := r.items[r.cur]
+	r.cur ^= 1
+	out := r.items[r.cur][:0]
 	if r.comp {
 		shared := int(binary.LittleEndian.Uint16(hdr[0:2]))
 		sufLen := int(binary.LittleEndian.Uint16(hdr[2:4]))
-		if shared > len(r.prev) {
-			return nil, false, fmt.Errorf("extsort: corrupt compressed run: shared %d > prev %d", shared, len(r.prev))
+		if r.count == 0 {
+			prev = nil // the first item of a run has no predecessor
+		}
+		if shared > len(prev) {
+			return nil, false, fmt.Errorf("extsort: corrupt compressed run: shared %d > prev %d", shared, len(prev))
 		}
 		suffix, err := r.read(sufLen)
 		if err != nil {
 			return nil, false, fmt.Errorf("extsort: truncated run item: %w", err)
 		}
-		out = make([]byte, shared+sufLen)
-		copy(out, r.prev[:shared])
-		copy(out[shared:], suffix)
-		r.prev = out
+		out = append(append(out, prev[:shared]...), suffix...)
 	} else {
 		n := binary.LittleEndian.Uint32(hdr)
 		item, err := r.read(int(n))
 		if err != nil {
 			return nil, false, fmt.Errorf("extsort: truncated run item: %w", err)
 		}
-		out = make([]byte, n)
-		copy(out, item)
+		out = append(out, item...)
 	}
+	r.items[r.cur] = out
 	r.count++
 	return out, true, nil
 }

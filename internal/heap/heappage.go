@@ -187,7 +187,10 @@ func (p *Page) MarshalPage() ([]byte, error) {
 	return img, nil
 }
 
-// UnmarshalPage implements page.Page.
+// UnmarshalPage implements page.Page. Every record is a 3-index slice of
+// one slab copied from the image. Records are never written in place
+// (Insert, InsertAt and Update store fresh copies), so the slab is never
+// overwritten and a record slice stays valid after its slot changes.
 func (p *Page) UnmarshalPage(img []byte) error {
 	if _, err := p.UnmarshalHeader(img); err != nil {
 		return err
@@ -195,6 +198,17 @@ func (p *Page) UnmarshalPage(img []byte) error {
 	off := page.HeaderSize
 	n := int(binary.LittleEndian.Uint16(img[off:]))
 	off += 2
+	// Size the slab to the records' extent (a bounds failure is reported
+	// by the decode loop below).
+	base, end := off, off
+	for i := 0; i < n && end+2 <= len(img); i++ {
+		if l := int(binary.LittleEndian.Uint16(img[end:])); l == 0xFFFF {
+			end += 2
+		} else {
+			end = min(end+2+l, len(img))
+		}
+	}
+	slab := append([]byte(nil), img[base:end]...)
 	p.records = make([][]byte, 0, n)
 	p.used = page.HeaderSize + 2
 	for i := 0; i < n; i++ {
@@ -211,7 +225,8 @@ func (p *Page) UnmarshalPage(img []byte) error {
 		if off+int(l) > len(img) {
 			return fmt.Errorf("heap: corrupt page (slot %d length %d)", i, l)
 		}
-		p.records = append(p.records, cloneBytes(img[off:off+int(l)]))
+		s, e := off-base, off-base+int(l)
+		p.records = append(p.records, slab[s:e:e])
 		p.used += int(l)
 		off += int(l)
 	}

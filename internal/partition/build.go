@@ -195,32 +195,34 @@ func shardOpts(db *engine.DB, o BuildOptions, logical string, i int) core.Option
 	return opts
 }
 
-// registerProgressGroup installs the aggregated logical progress view. The
-// closure resolves shard trackers lazily by name, so it is valid before,
-// during and after the shard builds; a shard whose index is complete but
-// whose in-memory tracker is gone (pre-restart shard) counts as a terminal
-// fraction-1 snapshot.
+// registerProgressGroup installs the aggregated logical progress view
+// (groupSnapshot) under the index's name.
 func registerProgressGroup(db *engine.DB, pi *catalog.PartIndex, pt *catalog.PartTable) {
-	name, method := pi.Name, pi.Method.String()
-	n := len(pt.Parts)
-	db.RegisterProgressGroup(name, func() progress.Snapshot {
-		snaps := make([]progress.Snapshot, 0, n)
-		for i := 0; i < n; i++ {
-			shardIx := catalog.PartShardIndexName(name, i)
-			var s progress.Snapshot
-			if ix, ok := db.Catalog().Index(shardIx); ok {
-				if tr := db.ProgressOf(ix.ID); tr != nil {
-					s = tr.Snapshot()
-				} else if ix.State == catalog.StateComplete {
-					s = progress.CompleteSnapshot(shardIx, method)
-				} else {
-					s.Index = shardIx
-				}
+	name, method, n := pi.Name, pi.Method.String(), len(pt.Parts)
+	db.RegisterProgressGroup(name, func() progress.Snapshot { return groupSnapshot(db, name, method, n) })
+}
+
+// groupSnapshot aggregates the n shard trackers of a fan-out index. It
+// resolves them lazily by name, so it is valid before, during and after the
+// shard builds; a shard whose index is complete but whose in-memory tracker
+// is gone (pre-restart shard) counts as a terminal fraction-1 snapshot.
+func groupSnapshot(db *engine.DB, name, method string, n int) progress.Snapshot {
+	snaps := make([]progress.Snapshot, 0, n)
+	for i := 0; i < n; i++ {
+		shardIx := catalog.PartShardIndexName(name, i)
+		var s progress.Snapshot
+		if ix, ok := db.Catalog().Index(shardIx); ok {
+			if tr := db.ProgressOf(ix.ID); tr != nil {
+				s = tr.Snapshot()
+			} else if ix.State == catalog.StateComplete {
+				s = progress.CompleteSnapshot(shardIx, method)
+			} else {
+				s.Index = shardIx
 			}
-			snaps = append(snaps, s)
 		}
-		return progress.Aggregate(name, method, snaps)
-	})
+		snaps = append(snaps, s)
+	}
+	return progress.Aggregate(name, method, snaps)
 }
 
 // abandonBuild tears down a failed fan-out build: cancel in-flight shard
@@ -430,21 +432,7 @@ func Progress(db *engine.DB, name string) (progress.Snapshot, bool) {
 	if !ok {
 		return progress.Snapshot{}, false
 	}
-	registerProgressGroup(db, &pi, &pt)
-	snaps := make([]progress.Snapshot, 0, len(pt.Parts))
-	for i := range pt.Parts {
-		shardIx := catalog.PartShardIndexName(pi.Name, i)
-		var s progress.Snapshot
-		if ix, ok := db.Catalog().Index(shardIx); ok {
-			if tr := db.ProgressOf(ix.ID); tr != nil {
-				s = tr.Snapshot()
-			} else if ix.State == catalog.StateComplete {
-				s = progress.CompleteSnapshot(shardIx, pi.Method.String())
-			}
-		}
-		snaps = append(snaps, s)
-	}
-	return progress.Aggregate(pi.Name, pi.Method.String(), snaps), true
+	return groupSnapshot(db, pi.Name, pi.Method.String(), len(pt.Parts)), true
 }
 
 // addStats accumulates one shard's build stats into the aggregate.

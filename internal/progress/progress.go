@@ -15,9 +15,13 @@
 //   - a resume floor across incarnations (seeded from the durable
 //     checkpoint; the report never drops below it).
 //
-// Raw dips below the *durable* floor are counted in Regressions — they
-// indicate the feed and the checkpoint disagree about completed work, which
-// the crash sweep asserts never happens.
+// The durable floor is also kept in units, per phase: the count the feed
+// had reported when the last checkpoint committed. A feed that later
+// reports fewer units of a phase than that is counted in Regressions — the
+// feed and the checkpoint disagree about completed work, which the crash
+// sweep asserts never happens. A total that grows after a checkpoint (the
+// chase scan finding new pages, updaters appending side-file entries)
+// lowers the raw fraction but takes no work back, so it is not counted.
 package progress
 
 import (
@@ -75,6 +79,8 @@ type phaseState struct {
 	weight   float64 // normalized at New
 	done     uint64
 	total    uint64
+	claimed  uint64 // the count the feed last reported, before clamping
+	floor    uint64 // claimed at the last durable checkpoint (or the resume seed)
 	finished bool
 	started  time.Time // first Advance
 	updated  time.Time // last Advance
@@ -152,6 +158,10 @@ func (t *Tracker) Advance(p Phase, done uint64) {
 		ps.started = now
 	}
 	ps.updated = now
+	if done < ps.floor {
+		t.regressions++ // fewer units than a durable checkpoint recorded
+	}
+	ps.claimed = done
 	if done > ps.done {
 		ps.done = done
 	}
@@ -217,16 +227,20 @@ func (t *Tracker) enterLocked(p Phase) {
 	t.cur = p
 }
 
-// MarkDurable records the current fraction as durably checkpointed — called
-// right after the builder's checkpoint transaction commits. A future resume
-// may seed its floor from the same checkpoint, so the reported fraction can
-// never fall behind this value again.
+// MarkDurable records the current fraction and each phase's reported count
+// as durably checkpointed — called right after the builder's checkpoint
+// transaction commits. A future resume may seed its floor from the same
+// checkpoint, so the reported fraction can never fall behind this value
+// again, and no feed may report fewer units.
 func (t *Tracker) MarkDurable() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for p := range t.phases {
+		t.phases[p].floor = t.phases[p].claimed
+	}
 	if f := t.rawLocked(); f > t.durable {
 		t.durable = f
 	}
@@ -242,6 +256,9 @@ func (t *Tracker) SeedResume() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for p := range t.phases {
+		t.phases[p].floor = t.phases[p].done
+	}
 	f := t.rawLocked()
 	t.resumeFloor = f
 	t.durable = f
@@ -293,17 +310,9 @@ func (t *Tracker) rawLocked() float64 {
 	return f
 }
 
-// noteRawLocked maintains the high-water mark and the regression counter.
+// noteRawLocked maintains the high-water mark.
 func (t *Tracker) noteRawLocked() {
-	f := t.rawLocked()
-	if f < t.durable-1e-9 {
-		// The feed claims less work than a durable checkpoint recorded:
-		// either a bug, or (post-resume) a total that grew past what the
-		// floor was computed against. The report clamps either way; the
-		// counter lets tests distinguish.
-		t.regressions++
-	}
-	if f > t.high {
+	if f := t.rawLocked(); f > t.high {
 		t.high = f
 	}
 }
@@ -333,8 +342,9 @@ func (t *Tracker) fractionLocked() float64 {
 	return f
 }
 
-// Regressions returns how many raw feed updates fell below the durable
-// floor (see noteRawLocked). Zero on a nil tracker.
+// Regressions returns how many feed updates reported fewer units of a
+// phase than the last durable checkpoint (see Advance). Zero on a nil
+// tracker.
 func (t *Tracker) Regressions() uint64 {
 	if t == nil {
 		return 0

@@ -124,14 +124,26 @@ func TestRegressionCounter(t *testing.T) {
 	tr.Advance(Load, 50)
 	tr.MarkDurable()
 	// A total growing after MarkDurable drops the raw fraction below the
-	// durable floor: the report clamps, the counter records it.
+	// durable one, but takes no work back: the report clamps, and nothing
+	// is counted.
 	tr.SetTotal(Load, 1000)
 	tr.Advance(Load, 51)
-	if tr.Regressions() == 0 {
-		t.Fatalf("raw dip below durable floor not counted")
+	if n := tr.Regressions(); n != 0 {
+		t.Fatalf("a growing total counted as %d regressions", n)
 	}
 	if f := tr.Fraction(); f < 0.5 {
 		t.Fatalf("reported fraction %v fell below durable 0.5", f)
+	}
+	// A feed reporting fewer units than the checkpoint recorded is counted.
+	tr.Advance(Load, 49)
+	if n := tr.Regressions(); n != 1 {
+		t.Fatalf("report below the durable count: %d regressions, want 1", n)
+	}
+	// A report at or above the durable count, even below the high-water
+	// count, is not.
+	tr.Advance(Load, 50)
+	if n := tr.Regressions(); n != 1 {
+		t.Fatalf("report at the durable count: %d regressions, want 1", n)
 	}
 }
 
