@@ -49,30 +49,28 @@ func CheckInvariants(tr *Tree) error {
 			return nil
 		}
 
-		// On a compressed page the stored prefix must actually prefix every
-		// key; it is enough to check the extremes, keys being sorted.
-		if n.comp {
-			check := func(key []byte, what string, i int) error {
-				if !bytes.HasPrefix(key, n.prefix) {
-					return fmt.Errorf("btree: page %d: %s %d lacks page prefix %x", pg, what, i, n.prefix)
-				}
-				return nil
+		// The stored prefix must actually prefix every key; it is enough to
+		// check the extremes, keys being sorted.
+		check := func(key []byte, what string, i int) error {
+			if !bytes.HasPrefix(key, n.prefix) {
+				return fmt.Errorf("btree: page %d: %s %d lacks page prefix %x", pg, what, i, n.prefix)
 			}
-			if n.leaf && len(n.entries) > 0 {
-				if err := check(n.entries[0].Key, "entry", 0); err != nil {
-					return 0, err
-				}
-				if err := check(n.entries[len(n.entries)-1].Key, "entry", len(n.entries)-1); err != nil {
-					return 0, err
-				}
+			return nil
+		}
+		if n.leaf && len(n.entries) > 0 {
+			if err := check(n.entries[0].Key, "entry", 0); err != nil {
+				return 0, err
 			}
-			if !n.leaf && len(n.seps) > 0 {
-				if err := check(n.seps[0].key, "sep", 0); err != nil {
-					return 0, err
-				}
-				if err := check(n.seps[len(n.seps)-1].key, "sep", len(n.seps)-1); err != nil {
-					return 0, err
-				}
+			if err := check(n.entries[len(n.entries)-1].Key, "entry", len(n.entries)-1); err != nil {
+				return 0, err
+			}
+		}
+		if !n.leaf && len(n.seps) > 0 {
+			if err := check(n.seps[0].key, "sep", 0); err != nil {
+				return 0, err
+			}
+			if err := check(n.seps[len(n.seps)-1].key, "sep", len(n.seps)-1); err != nil {
+				return 0, err
 			}
 		}
 

@@ -24,7 +24,6 @@ import (
 type Loader struct {
 	t          *Tree
 	fillBudget int
-	comp       bool            // build prefix-compressed pages
 	levels     []*buffer.Frame // pinned current (rightmost) node per level; 0 = leaf
 	count      uint64
 	high       Entry // the last entry added; its key buffer is reused
@@ -34,16 +33,12 @@ type Loader struct {
 // NewLoader starts a bottom-up load of an empty tree. fill is the fraction
 // of each node to use before starting a new one ("the proper amount of
 // desired free space ... is left in the leaf pages", §2.2.3); 0 means 0.9.
+//
+// Every page stores its keys truncated against a per-page common prefix,
+// which widens fanout (the sorted stream gives adjacent keys long shared
+// prefixes): the merge's prefix-delta stream is re-delta'd at page
+// granularity as it loads.
 func (t *Tree) NewLoader(fill float64) *Loader {
-	return t.NewLoaderWith(fill, false)
-}
-
-// NewLoaderWith is NewLoader with per-page prefix key compression
-// selectable: every leaf and branch page the loader creates then stores its
-// keys truncated against a per-page common prefix, which widens fanout (the
-// sorted stream gives adjacent keys long shared prefixes). The merge's
-// output stream is thus re-delta'd at page granularity as it loads.
-func (t *Tree) NewLoaderWith(fill float64, compress bool) *Loader {
 	if fill <= 0 || fill > 1 {
 		fill = 0.9
 	}
@@ -51,7 +46,7 @@ func (t *Tree) NewLoaderWith(fill float64, compress bool) *Loader {
 	if fb < 256 {
 		fb = 256
 	}
-	return &Loader{t: t, fillBudget: fb, comp: compress}
+	return &Loader{t: t, fillBudget: fb}
 }
 
 // Count returns the number of entries added so far.
@@ -69,7 +64,7 @@ func (ld *Loader) Add(e Entry) error {
 		return nil // duplicate from a restarted sort merge; idempotent
 	}
 	if len(ld.levels) == 0 {
-		f, err := ld.t.pool.NewPage(ld.t.file, NewLeafWith(ld.comp))
+		f, err := ld.t.pool.NewPage(ld.t.file, NewLeaf())
 		if err != nil {
 			return err
 		}
@@ -80,7 +75,7 @@ func (ld *Loader) Add(e Entry) error {
 	if full := lf.Page().(*Node); !full.hasRoomEntry(e.Key, ld.fillBudget) {
 		// Size the new leaf like the full one, so filling it allocates
 		// no more entry or key storage.
-		nl := NewLeafWith(ld.comp)
+		nl := NewLeaf()
 		nl.reserve(len(full.entries), full.keyBytes())
 		nf, err := ld.t.pool.NewPage(ld.t.file, nl)
 		if err != nil {
@@ -156,7 +151,7 @@ func (ld *Loader) setHigh(e Entry) {
 // left as its first child) if it does not exist yet.
 func (ld *Loader) addSep(level int, s sep, right, left types.PageNum) error {
 	if level == len(ld.levels) {
-		f, err := ld.t.pool.NewPage(ld.t.file, NewInternalWith([]types.PageNum{left}, nil, ld.comp))
+		f, err := ld.t.pool.NewPage(ld.t.file, NewInternal([]types.PageNum{left}, nil))
 		if err != nil {
 			return err
 		}
@@ -166,7 +161,7 @@ func (ld *Loader) addSep(level int, s sep, right, left types.PageNum) error {
 	f := ld.levels[level]
 	node := f.Page().(*Node)
 	if !node.hasRoomSep(s.key, ld.fillBudget) {
-		nf, err := ld.t.pool.NewPage(ld.t.file, NewInternalWith([]types.PageNum{right}, nil, ld.comp))
+		nf, err := ld.t.pool.NewPage(ld.t.file, NewInternal([]types.PageNum{right}, nil))
 		if err != nil {
 			return err
 		}
@@ -292,20 +287,13 @@ func (ld *Loader) Checkpoint() (LoaderState, error) {
 // entries above the checkpointed highest key are stripped from the surviving
 // rightmost branch, so the tree is exactly as it was at Checkpoint time.
 // Feeding the sorted stream from just after State.High continues the build.
+// A checkpointed branch page in the retired full-key format fails the fetch
+// with ErrOldFormat.
 func (t *Tree) RestartLoader(st LoaderState, fill float64) (*Loader, error) {
-	return t.RestartLoaderWith(st, fill, false)
-}
-
-// RestartLoaderWith is RestartLoader for a build that may have been running
-// with key compression. The flag seeds the loader, but the surviving pages
-// are authoritative: once the checkpointed rightmost branch is fetched, the
-// loader adopts the compression bit recorded on those pages, so a resume
-// cannot mix compressed and uncompressed pages within one build.
-func (t *Tree) RestartLoaderWith(st LoaderState, fill float64, compress bool) (*Loader, error) {
 	if err := t.pool.TruncateFile(t.file, st.PageCount); err != nil {
 		return nil, err
 	}
-	ld := t.NewLoaderWith(fill, compress)
+	ld := t.NewLoader(fill)
 	ld.count = st.Count
 	ld.setHigh(st.High)
 	for level, pg := range st.LevelPages {
@@ -321,7 +309,6 @@ func (t *Tree) RestartLoaderWith(st LoaderState, fill float64, compress bool) (*
 			return nil, fmt.Errorf("btree: restart: page %d is not a node", pg)
 		}
 		if level == 0 {
-			ld.comp = n.comp // pages on disk win over the caller's flag
 			for len(n.entries) > 0 {
 				last := n.entries[len(n.entries)-1]
 				if CompareEntry(last.Key, last.RID, st.High.Key, st.High.RID) <= 0 {
@@ -337,7 +324,6 @@ func (t *Tree) RestartLoaderWith(st LoaderState, fill float64, compress bool) (*
 					n.children[len(n.children)-1] < st.PageCount {
 					break
 				}
-				n.used -= sepBytes(last.key) + 4
 				n.seps = n.seps[:len(n.seps)-1]
 				n.children = n.children[:len(n.children)-1]
 			}
@@ -347,7 +333,7 @@ func (t *Tree) RestartLoaderWith(st LoaderState, fill float64, compress bool) (*
 				return nil, fmt.Errorf("btree: restart: level %d still references truncated page", level)
 			}
 		}
-		n.resetPrefix() // no-op uncompressed; rebuilds prefix+used otherwise
+		n.resetPrefix() // rebuilds prefix and used
 		t.pool.MarkDirtyUnlogged(f)
 		f.Latch.Release(latch.X)
 		ld.levels = append(ld.levels, f)

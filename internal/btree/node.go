@@ -31,6 +31,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -74,11 +75,11 @@ type sep struct {
 // Internal layout: children[0..n] and seps[0..n-1]; child i+1 holds entries
 // >= seps[i], child i holds entries < seps[i].
 //
-// A compressed node (comp set) stores its keys prefix-truncated on disk:
-// the page image holds one per-page common prefix and each entry/separator
-// records only its suffix. In memory keys are always full — only the
-// marshalled image and the `used` accounting change — so search, insert and
-// split logic is oblivious to compression except through the size helpers.
+// A node stores its keys prefix-truncated on disk: the page image holds one
+// per-page common prefix and each entry/separator records only its suffix.
+// In memory keys are always full — only the marshalled image and the `used`
+// accounting see the prefix — so search, insert and split logic is
+// oblivious to it except through the size helpers.
 //
 // Key bytes live in slabs: a decoded page's keys share one slab, and keys
 // inserted later are carved from the spare capacity of the current slab
@@ -91,8 +92,7 @@ type sep struct {
 type Node struct {
 	page.Header
 	leaf   bool
-	comp   bool   // keys are prefix-truncated against `prefix` on disk
-	prefix []byte // per-page common prefix (comp only; prefix of every key)
+	prefix []byte // per-page common prefix: a prefix of every key
 
 	// leaf fields
 	entries []Entry
@@ -113,6 +113,10 @@ const slabChunk = 1024
 // first few keys a write brings to a freshly read page do not move all of
 // its keys to a new slab.
 const slabSlack = 256
+
+// entrySlack is the spare entry capacity of a decoded leaf, so the first
+// few inserts into a freshly read page do not copy its whole entry array.
+const entrySlack = 16
 
 // keyCopy returns a copy of key carved from the node's slab.
 func (n *Node) keyCopy(key []byte) []byte {
@@ -166,72 +170,40 @@ func (n *Node) keyBytes() int {
 	return total
 }
 
-const nodeFixed = page.HeaderSize + 1 + 2 + 4 // header, flags, count, next
+// nodeFixed is the image size of an empty node: header, flags, next, u16
+// prefix length and count (the prefix bytes are counted separately).
+const nodeFixed = page.HeaderSize + 1 + 4 + 2 + 2
 
-// compFixed is the extra fixed cost of a compressed image: the u16 prefix
-// length (the prefix bytes themselves are counted separately).
-const compFixed = 2
-
-// Page-image flag bits (the byte after the header).
+// Page-image flag bits (the byte after the header). flagComp is the format
+// tag: every image and logged node content carries it, and one without it
+// predates per-page prefix truncation and is refused with ErrOldFormat.
 const (
 	flagLeaf = 1 << 0
 	flagComp = 1 << 1
 )
 
+// ErrOldFormat reports a page image or logged node content written before
+// prefix-truncated nodes became the only page format.
+var ErrOldFormat = errors.New("btree: node predates the prefix-truncated page format")
+
 // NewLeaf returns an empty leaf node.
 func NewLeaf() *Node { return &Node{leaf: true, next: NoPage, used: nodeFixed} }
-
-// NewLeafWith returns an empty leaf, compressed on request.
-func NewLeafWith(compress bool) *Node {
-	n := NewLeaf()
-	if compress {
-		n.comp = true
-		n.used += compFixed
-	}
-	return n
-}
 
 // NewInternal returns an internal node with the given children and
 // separators (len(children) == len(seps)+1).
 func NewInternal(children []types.PageNum, seps []sep) *Node {
-	n := &Node{leaf: false, next: NoPage, children: children, seps: seps, used: nodeFixed}
-	n.used += 4 * len(children)
-	for _, s := range seps {
-		n.used += sepBytes(s.key)
-	}
+	n := &Node{leaf: false, next: NoPage, children: children, seps: seps}
+	n.resetPrefix()
 	return n
 }
-
-// NewInternalWith is NewInternal, compressed on request.
-func NewInternalWith(children []types.PageNum, seps []sep, compress bool) *Node {
-	n := NewInternal(children, seps)
-	if compress {
-		n.comp = true
-		n.resetPrefix()
-	}
-	return n
-}
-
-func entryBytes(key []byte) int { return 2 + len(key) + 10 + 1 } // len, key, rid, flags
-func sepBytes(key []byte) int   { return 2 + len(key) + 10 }
 
 // entryRecBytes is the image cost of a leaf entry already covered by the
-// current prefix.
-func (n *Node) entryRecBytes(key []byte) int {
-	if n.comp {
-		return 2 + len(key) - len(n.prefix) + 10 + 1
-	}
-	return entryBytes(key)
-}
+// current prefix: suffix length, suffix, RID, pseudo flag.
+func (n *Node) entryRecBytes(key []byte) int { return 2 + len(key) - len(n.prefix) + 10 + 1 }
 
 // sepRecBytes is the image cost of a separator already covered by the
-// current prefix.
-func (n *Node) sepRecBytes(key []byte) int {
-	if n.comp {
-		return 2 + len(key) - len(n.prefix) + 10
-	}
-	return sepBytes(key)
-}
+// current prefix: suffix length, suffix, RID.
+func (n *Node) sepRecBytes(key []byte) int { return 2 + len(key) - len(n.prefix) + 10 }
 
 // keyCount returns the number of keyed records (entries or separators).
 func (n *Node) keyCount() int {
@@ -242,27 +214,17 @@ func (n *Node) keyCount() int {
 }
 
 // entryAddCost is the growth of `used` if key were inserted as a leaf
-// entry: on a compressed page that includes shrinking the common prefix to
-// cover the new key (every existing suffix grows by the shrink).
-func (n *Node) entryAddCost(key []byte) int {
-	if !n.comp {
-		return entryBytes(key)
-	}
-	return n.compAddCost(key) + 10 + 1
-}
+// entry, including shrinking the common prefix to cover the new key (every
+// existing suffix grows by the shrink).
+func (n *Node) entryAddCost(key []byte) int { return n.keyAddCost(key) + 10 + 1 }
 
 // sepAddCost is entryAddCost for a separator (no pseudo flag, no child —
 // hasRoomSep adds the child pointer).
-func (n *Node) sepAddCost(key []byte) int {
-	if !n.comp {
-		return sepBytes(key)
-	}
-	return n.compAddCost(key) + 10
-}
+func (n *Node) sepAddCost(key []byte) int { return n.keyAddCost(key) + 10 }
 
-// compAddCost is the shared part of the compressed-insert cost: the suffix
-// record's length field and bytes, plus the prefix-shrink ripple.
-func (n *Node) compAddCost(key []byte) int {
+// keyAddCost is the shared part of the insert cost: the suffix record's
+// length field and bytes, plus the prefix-shrink ripple.
+func (n *Node) keyAddCost(key []byte) int {
 	cnt := n.keyCount()
 	if cnt == 0 {
 		// The page's first key becomes the prefix in full; its suffix is
@@ -279,9 +241,6 @@ func (n *Node) compAddCost(key []byte) int {
 // called before the key is spliced in (keyCount still excludes it); the
 // caller accounts for `used` via entryAddCost/sepAddCost.
 func (n *Node) adoptPrefix(key []byte) {
-	if !n.comp {
-		return
-	}
 	if n.keyCount() == 0 {
 		n.prefix = append(n.prefix[:0], key...)
 		return
@@ -307,9 +266,6 @@ func commonPrefixLen(a, b []byte) int {
 // after bulk restructuring (splits, truncations, content decode) where
 // incremental accounting is not worth carrying through.
 func (n *Node) resetPrefix() {
-	if !n.comp {
-		return
-	}
 	var first, last []byte
 	if n.leaf {
 		if len(n.entries) > 0 {
@@ -329,10 +285,7 @@ func (n *Node) resetPrefix() {
 // computeUsed recomputes the marshalled image size from scratch; the
 // invariant checker compares it against the incrementally maintained field.
 func (n *Node) computeUsed() int {
-	used := nodeFixed
-	if n.comp {
-		used += compFixed + len(n.prefix)
-	}
+	used := nodeFixed + len(n.prefix)
 	if n.leaf {
 		for _, e := range n.entries {
 			used += n.entryRecBytes(e.Key)
@@ -351,9 +304,6 @@ func (n *Node) Kind() page.Kind { return page.KindBTree }
 
 // IsLeaf reports whether the node is a leaf.
 func (n *Node) IsLeaf() bool { return n.leaf }
-
-// Compressed reports whether the node stores prefix-truncated keys.
-func (n *Node) Compressed() bool { return n.comp }
 
 // Next returns the right-sibling page of a leaf.
 func (n *Node) Next() types.PageNum { return n.next }
@@ -409,8 +359,8 @@ func (n *Node) insertEntryAt(i int, e Entry) {
 	n.entries[i] = Entry{Key: n.keyCopy(e.Key), RID: e.RID, Pseudo: e.Pseudo}
 }
 
-// removeEntryAt removes leaf entry i. On a compressed page the prefix is
-// left as-is (it stays a valid, merely possibly loose, common prefix).
+// removeEntryAt removes leaf entry i. The prefix is left as-is (it stays a
+// valid, merely possibly loose, common prefix).
 func (n *Node) removeEntryAt(i int) {
 	n.used -= n.entryRecBytes(n.entries[i].Key)
 	n.entries = append(n.entries[:i], n.entries[i+1:]...)
@@ -430,49 +380,38 @@ func (n *Node) insertSepAt(i int, s sep, rightChild types.PageNum) {
 
 // MarshalPage implements page.Page.
 //
-// Compressed layout inserts [u16 prefixLen][prefix] between the next
-// pointer and the count; entry and separator keys then store only the
-// suffix past the prefix. Uncompressed pages keep the historical layout
-// byte for byte.
+// Layout after the page header: [u8 flags][u32 next][u16 prefixLen][prefix]
+// [u16 count], then for a leaf count records [u16 suffixLen][suffix][RID]
+// [u8 pseudo], and for an internal node count+1 u32 children followed by
+// count records [u16 suffixLen][suffix][RID]. Every key is the page prefix
+// followed by its record's suffix.
 func (n *Node) MarshalPage() ([]byte, error) {
 	img := make([]byte, page.Size)
 	n.MarshalHeader(img, page.KindBTree)
 	off := page.HeaderSize
-	var flags byte
+	flags := byte(flagComp)
 	if n.leaf {
 		flags |= flagLeaf
-	}
-	if n.comp {
-		flags |= flagComp
 	}
 	img[off] = flags
 	off++
 	binary.LittleEndian.PutUint32(img[off:], uint32(n.next))
 	off += 4
-	plen := 0
-	if n.comp {
-		plen = len(n.prefix)
-		if off+2+plen > page.Size {
-			return nil, fmt.Errorf("btree: prefix overflow at %d bytes", off)
-		}
-		binary.LittleEndian.PutUint16(img[off:], uint16(plen))
-		off += 2
-		copy(img[off:], n.prefix)
-		off += plen
+	plen := len(n.prefix)
+	if off+2+plen+2 > page.Size {
+		return nil, fmt.Errorf("btree: prefix overflow at %d bytes", off)
 	}
+	binary.LittleEndian.PutUint16(img[off:], uint16(plen))
+	off += 2
+	off += copy(img[off:], n.prefix)
 	if n.leaf {
 		binary.LittleEndian.PutUint16(img[off:], uint16(len(n.entries)))
 		off += 2
 		for _, e := range n.entries {
-			need := n.entryRecBytes(e.Key)
-			if off+need > page.Size {
+			if off+n.entryRecBytes(e.Key) > page.Size {
 				return nil, fmt.Errorf("btree: leaf overflow at %d bytes", off)
 			}
-			suf := e.Key[plen:]
-			binary.LittleEndian.PutUint16(img[off:], uint16(len(suf)))
-			off += 2
-			copy(img[off:], suf)
-			off += len(suf)
+			off = putKey(img, off, e.Key[plen:])
 			off = putRID(img, off, e.RID)
 			if e.Pseudo {
 				img[off] = 1
@@ -491,79 +430,73 @@ func (n *Node) MarshalPage() ([]byte, error) {
 		off += 4
 	}
 	for _, s := range n.seps {
-		need := n.sepRecBytes(s.key)
-		if off+need > page.Size {
+		if off+n.sepRecBytes(s.key) > page.Size {
 			return nil, fmt.Errorf("btree: internal overflow at %d bytes", off)
 		}
-		suf := s.key[plen:]
-		binary.LittleEndian.PutUint16(img[off:], uint16(len(suf)))
-		off += 2
-		copy(img[off:], suf)
-		off += len(suf)
+		off = putKey(img, off, s.key[plen:])
 		off = putRID(img, off, s.rid)
 	}
 	return img, nil
 }
 
-// UnmarshalPage implements page.Page.
+// UnmarshalPage implements page.Page. An image without the flagComp tag is
+// refused with ErrOldFormat; every other malformed image returns an error,
+// never a panic.
 func (n *Node) UnmarshalPage(img []byte) error {
 	if _, err := n.UnmarshalHeader(img); err != nil {
 		return err
 	}
+	if len(img) < nodeFixed {
+		return fmt.Errorf("btree: node image too small (%d bytes)", len(img))
+	}
 	off := page.HeaderSize
 	flags := img[off]
+	if flags&flagComp == 0 {
+		return ErrOldFormat
+	}
 	n.leaf = flags&flagLeaf != 0
-	n.comp = flags&flagComp != 0
 	off++
 	n.next = types.PageNum(binary.LittleEndian.Uint32(img[off:]))
 	off += 4
-	n.used = nodeFixed
-	n.prefix = nil
-	if n.comp {
-		plen := int(binary.LittleEndian.Uint16(img[off:]))
-		off += 2
-		if off+plen > len(img) {
-			return fmt.Errorf("btree: corrupt compressed node (prefix)")
-		}
-		n.prefix = append([]byte(nil), img[off:off+plen]...)
-		off += plen
-		n.used += compFixed + plen
+	plen := int(binary.LittleEndian.Uint16(img[off:]))
+	off += 2
+	if off+plen+2 > len(img) {
+		return fmt.Errorf("btree: corrupt node (prefix %d bytes)", plen)
 	}
+	n.prefix = append([]byte(nil), img[off:off+plen]...)
+	off += plen
 	count := int(binary.LittleEndian.Uint16(img[off:]))
 	off += 2
+	n.used = nodeFixed + plen
 	n.entries, n.seps, n.children = nil, nil, nil
+	// tail is the fixed part of a record after its key: RID, plus a leaf's
+	// pseudo flag. A count the rest of the image cannot hold is corrupt
+	// before anything is allocated for it.
+	tail, keysAt := 10+1, off
+	if !n.leaf {
+		tail, keysAt = 10, off+4*(count+1)
+	}
+	if keysAt+count*(2+tail) > len(img) {
+		return fmt.Errorf("btree: corrupt node (count %d)", count)
+	}
 	// One slab holds every key of the page: size it from the key lengths
 	// before decoding.
-	keysAt := off
-	if !n.leaf {
-		keysAt += 4 * (count + 1)
-	}
-	recFixed := 10 // RID
-	if n.leaf {
-		recFixed++ // pseudo flag
-	}
 	total := 0
 	for i, o := 0, keysAt; i < count && o+2 <= len(img); i++ {
 		kl := int(binary.LittleEndian.Uint16(img[o:]))
-		total += len(n.prefix) + kl
-		o += 2 + kl + recFixed
+		total += plen + kl
+		o += 2 + kl + tail
 	}
 	n.slab = make([]byte, 0, total+slabSlack)
 	if n.leaf {
-		n.entries = make([]Entry, 0, count)
+		n.entries = make([]Entry, 0, count+entrySlack)
 		for i := 0; i < count; i++ {
-			if off+2 > len(img) {
-				return fmt.Errorf("btree: corrupt leaf (entry %d)", i)
+			key, o, err := n.getKey(img, off, tail)
+			if err != nil {
+				return fmt.Errorf("btree: corrupt leaf (entry %d): %w", i, err)
 			}
-			kl := int(binary.LittleEndian.Uint16(img[off:]))
-			off += 2
-			if off+kl+11 > len(img) {
-				return fmt.Errorf("btree: corrupt leaf (entry %d key)", i)
-			}
-			key := n.decodeKey(img[off : off+kl])
-			off += kl
 			var rid types.RID
-			rid, off = getRID(img, off)
+			rid, off = getRID(img, o)
 			pseudo := img[off] == 1
 			off++
 			n.entries = append(n.entries, Entry{Key: key, RID: rid, Pseudo: pseudo})
@@ -573,31 +506,44 @@ func (n *Node) UnmarshalPage(img []byte) error {
 	}
 	n.children = make([]types.PageNum, 0, count+1)
 	for i := 0; i <= count; i++ {
-		if off+4 > len(img) {
-			return fmt.Errorf("btree: corrupt internal (child %d)", i)
-		}
 		n.children = append(n.children, types.PageNum(binary.LittleEndian.Uint32(img[off:])))
 		off += 4
 		n.used += 4
 	}
 	n.seps = make([]sep, 0, count)
 	for i := 0; i < count; i++ {
-		if off+2 > len(img) {
-			return fmt.Errorf("btree: corrupt internal (sep %d)", i)
+		key, o, err := n.getKey(img, off, tail)
+		if err != nil {
+			return fmt.Errorf("btree: corrupt internal (sep %d): %w", i, err)
 		}
-		kl := int(binary.LittleEndian.Uint16(img[off:]))
-		off += 2
-		if off+kl+10 > len(img) {
-			return fmt.Errorf("btree: corrupt internal (sep %d key)", i)
-		}
-		key := n.decodeKey(img[off : off+kl])
-		off += kl
 		var rid types.RID
-		rid, off = getRID(img, off)
+		rid, off = getRID(img, o)
 		n.seps = append(n.seps, sep{key: key, rid: rid})
 		n.used += n.sepRecBytes(key)
 	}
 	return nil
+}
+
+// putKey writes a [u16 len][suffix] key record at off.
+func putKey(img []byte, off int, suffix []byte) int {
+	binary.LittleEndian.PutUint16(img[off:], uint16(len(suffix)))
+	off += 2
+	return off + copy(img[off:], suffix)
+}
+
+// getKey reads the [u16 len][suffix] key record at off, which must leave
+// tail more bytes in the image, and carves prefix+suffix from the slab. It
+// returns the key and the offset past the suffix.
+func (n *Node) getKey(img []byte, off, tail int) ([]byte, int, error) {
+	if off+2 > len(img) {
+		return nil, 0, errors.New("key length past end of image")
+	}
+	kl := int(binary.LittleEndian.Uint16(img[off:]))
+	off += 2
+	if off+kl+tail > len(img) {
+		return nil, 0, fmt.Errorf("%d-byte key past end of image", kl)
+	}
+	return n.decodeKey(img[off : off+kl]), off + kl, nil
 }
 
 // decodeKey carves prefix+suffix from the slab.

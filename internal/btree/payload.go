@@ -94,17 +94,12 @@ func DecodeSetRID(b []byte) (SetRIDPayload, error) {
 
 // encodeContent serializes a node's logical content (compactly, unlike the
 // fixed-size page image) for split and format log records. Keys are stored
-// in full; the leading flag byte carries the leaf bit and, for compressed
-// nodes, the comp bit so redo reconstructs an equivalently compressed page
-// (the per-page prefix is recomputed, not stored). An uncompressed node's
-// encoding is byte-identical to the historical Bool(leaf) format.
+// in full; the leading flag byte carries the leaf bit and the flagComp
+// format tag (the per-page prefix is recomputed on decode, not stored).
 func (n *Node) encodeContent(w *enc.Writer) {
-	var flags uint8
+	flags := uint8(flagComp)
 	if n.leaf {
 		flags |= flagLeaf
-	}
-	if n.comp {
-		flags |= flagComp
 	}
 	w.U8(flags).U32(uint32(n.next))
 	if n.leaf {
@@ -123,11 +118,14 @@ func (n *Node) encodeContent(w *enc.Writer) {
 	}
 }
 
-// decodeContent restores a node's logical content.
+// decodeContent restores a node's logical content. Content without the
+// flagComp tag is refused with ErrOldFormat.
 func decodeContent(r *enc.Reader) (*Node, error) {
 	flags := r.U8()
+	if r.Err() == nil && flags&flagComp == 0 {
+		return nil, ErrOldFormat
+	}
 	leaf := flags&flagLeaf != 0
-	comp := flags&flagComp != 0
 	next := types.PageNum(r.U32())
 	count := int(r.U32())
 	var n *Node
@@ -135,10 +133,9 @@ func decodeContent(r *enc.Reader) (*Node, error) {
 		n = NewLeaf()
 		n.next = next
 		for i := 0; i < count && r.Err() == nil; i++ {
-			e := Entry{Key: r.Bytes32(), RID: r.RID(), Pseudo: r.Bool()}
-			n.entries = append(n.entries, e)
-			n.used += entryBytes(e.Key)
+			n.entries = append(n.entries, Entry{Key: r.Bytes32(), RID: r.RID(), Pseudo: r.Bool()})
 		}
+		n.resetPrefix()
 	} else {
 		children := make([]types.PageNum, 0, count+1)
 		for i := 0; i <= count; i++ {
@@ -150,10 +147,6 @@ func decodeContent(r *enc.Reader) (*Node, error) {
 		}
 		n = NewInternal(children, seps)
 		n.next = next
-	}
-	if comp {
-		n.comp = true
-		n.resetPrefix()
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("btree: corrupt node content: %w", err)

@@ -173,27 +173,10 @@ func redoSplit(pool *buffer.Pool, rec *wal.Record, pl SplitPayload) error {
 			return nil
 		}
 		cut := int(pl.KeepCount)
-		if n.leaf {
-			if cut > len(n.entries) {
-				return fmt.Errorf("btree: redo split LSN %d: keep %d > %d entries", rec.LSN, cut, len(n.entries))
-			}
-			for _, e := range n.entries[cut:] {
-				n.used -= entryBytes(e.Key)
-			}
-			n.entries = n.entries[:cut]
-			n.next = pl.LeftNext
-		} else {
-			if cut > len(n.seps) {
-				return fmt.Errorf("btree: redo split LSN %d: keep %d > %d seps", rec.LSN, cut, len(n.seps))
-			}
-			for _, s := range n.seps[cut:] {
-				n.used -= sepBytes(s.key)
-			}
-			n.used -= 4 * (len(n.children) - cut - 1)
-			n.seps = n.seps[:cut]
-			n.children = n.children[:cut+1]
+		if cut > n.keyCount() {
+			return fmt.Errorf("btree: redo split LSN %d: keep %d > %d keys", rec.LSN, cut, n.keyCount())
 		}
-		n.resetPrefix() // no-op uncompressed; rebuilds prefix+used otherwise
+		n.keepFirst(cut, pl.LeftNext)
 		f.MarkDirty(rec.LSN)
 		return nil
 	})

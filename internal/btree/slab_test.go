@@ -32,65 +32,63 @@ type heldKey struct{ slice, want []byte }
 // within a small multiple of a page: dead keys are left behind when the
 // live ones move to a fresh slab.
 func TestNodeSlabKeysSurviveEdits(t *testing.T) {
-	for _, comp := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(11))
-		n := NewLeafWith(comp)
-		var model []Entry
-		var held []heldKey
-		hold := func() {
-			for _, e := range n.entries {
-				held = append(held, heldKey{slice: e.Key, want: bytes.Clone(e.Key)})
+	rng := rand.New(rand.NewSource(11))
+	n := NewLeaf()
+	var model []Entry
+	var held []heldKey
+	hold := func() {
+		for _, e := range n.entries {
+			held = append(held, heldKey{slice: e.Key, want: bytes.Clone(e.Key)})
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		switch {
+		case step%5000 == 0: // round-trip through a page image
+			img, err := n.MarshalPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = &Node{}
+			if err := n.UnmarshalPage(img); err != nil {
+				t.Fatal(err)
+			}
+			clear(img) // the image is the caller's buffer, free for reuse
+			hold()
+		case rng.Intn(3) > 0 || len(model) == 0: // insert
+			e := Entry{Key: slabKey(rng), RID: ridOf(rng.Intn(8))}
+			i, exact := n.searchLeaf(e.Key, e.RID)
+			if exact || !n.hasRoomEntry(e.Key, page.Size) {
+				continue
+			}
+			n.insertEntryAt(i, e)
+			model = slices.Insert(model, i, Entry{Key: bytes.Clone(e.Key), RID: e.RID})
+			held = append(held, heldKey{slice: n.entries[i].Key, want: bytes.Clone(e.Key)})
+		default: // remove
+			i := rng.Intn(len(model))
+			n.removeEntryAt(i)
+			model = slices.Delete(model, i, i+1)
+		}
+		if len(n.entries) != len(model) {
+			t.Fatalf("step %d: %d entries, model %d", step, len(n.entries), len(model))
+		}
+		for i, e := range n.entries {
+			if !bytes.Equal(e.Key, model[i].Key) || e.RID != model[i].RID {
+				t.Fatalf("step %d: entry %d = %q, model %q", step, i, e.Key, model[i].Key)
 			}
 		}
-		for step := 0; step < 20000; step++ {
-			switch {
-			case step%5000 == 0: // round-trip through a page image
-				img, err := n.MarshalPage()
-				if err != nil {
-					t.Fatal(err)
-				}
-				n = &Node{}
-				if err := n.UnmarshalPage(img); err != nil {
-					t.Fatal(err)
-				}
-				clear(img) // the image is the caller's buffer, free for reuse
-				hold()
-			case rng.Intn(3) > 0 || len(model) == 0: // insert
-				e := Entry{Key: slabKey(rng), RID: ridOf(rng.Intn(8))}
-				i, exact := n.searchLeaf(e.Key, e.RID)
-				if exact || !n.hasRoomEntry(e.Key, page.Size) {
-					continue
-				}
-				n.insertEntryAt(i, e)
-				model = slices.Insert(model, i, Entry{Key: bytes.Clone(e.Key), RID: e.RID})
-				held = append(held, heldKey{slice: n.entries[i].Key, want: bytes.Clone(e.Key)})
-			default: // remove
-				i := rng.Intn(len(model))
-				n.removeEntryAt(i)
-				model = slices.Delete(model, i, i+1)
-			}
-			if len(n.entries) != len(model) {
-				t.Fatalf("comp=%v step %d: %d entries, model %d", comp, step, len(n.entries), len(model))
-			}
-			for i, e := range n.entries {
-				if !bytes.Equal(e.Key, model[i].Key) || e.RID != model[i].RID {
-					t.Fatalf("comp=%v step %d: entry %d = %q, model %q", comp, step, i, e.Key, model[i].Key)
-				}
-			}
-			if n.used != n.computeUsed() {
-				t.Fatalf("comp=%v step %d: used %d, recomputed %d", comp, step, n.used, n.computeUsed())
-			}
-			if cap(n.slab) > 2*page.Size {
-				t.Fatalf("comp=%v step %d: slab holds %d bytes for %d live key bytes", comp, step, cap(n.slab), n.keyBytes())
-			}
-			if !keysInSlab(n) {
-				t.Fatalf("comp=%v step %d: a live key lies outside the node's slab, pinning an old one", comp, step)
-			}
+		if n.used != n.computeUsed() {
+			t.Fatalf("step %d: used %d, recomputed %d", step, n.used, n.computeUsed())
 		}
-		for _, h := range held {
-			if !bytes.Equal(h.slice, h.want) {
-				t.Fatalf("comp=%v: a handed-out key changed from %q to %q", comp, h.want, h.slice)
-			}
+		if cap(n.slab) > 2*page.Size {
+			t.Fatalf("step %d: slab holds %d bytes for %d live key bytes", step, cap(n.slab), n.keyBytes())
+		}
+		if !keysInSlab(n) {
+			t.Fatalf("step %d: a live key lies outside the node's slab, pinning an old one", step)
+		}
+	}
+	for _, h := range held {
+		if !bytes.Equal(h.slice, h.want) {
+			t.Fatalf("a handed-out key changed from %q to %q", h.want, h.slice)
 		}
 	}
 }
@@ -166,39 +164,66 @@ func TestTreeSlabModelSmallPool(t *testing.T) {
 }
 
 // TestNodeUnmarshalAllocsPerPage gates leaf and branch decode: one slab per
-// page, so the allocation count does not grow with the entry count.
+// page, so the allocation count does not grow with the entry count. A
+// decoded leaf keeps spare entry and key room, so the first insert into a
+// freshly read page allocates nothing either.
 func TestNodeUnmarshalAllocsPerPage(t *testing.T) {
-	for _, comp := range []bool{false, true} {
-		allocs := func(entries int) float64 {
-			leaf := NewLeafWith(comp)
-			seps := make([]sep, 0, entries)
-			children := []types.PageNum{0}
-			for i := 0; i < entries; i++ {
-				leaf.insertEntryAt(i, Entry{Key: keyOf(i), RID: ridOf(i)})
-				seps = append(seps, sep{key: keyOf(i), rid: ridOf(i)})
-				children = append(children, types.PageNum(i+1))
-			}
-			var total float64
-			for _, n := range []*Node{leaf, NewInternalWith(children, seps, comp)} {
-				img, err := n.MarshalPage()
-				if err != nil {
+	images := func(entries int) (leafImg, branchImg []byte) {
+		leaf := NewLeaf()
+		seps := make([]sep, 0, entries)
+		children := []types.PageNum{0}
+		for i := 0; i < entries; i++ {
+			leaf.insertEntryAt(i, Entry{Key: keyOf(2 * i), RID: ridOf(i)})
+			seps = append(seps, sep{key: keyOf(2 * i), rid: ridOf(i)})
+			children = append(children, types.PageNum(i+1))
+		}
+		var err error
+		if leafImg, err = leaf.MarshalPage(); err != nil {
+			t.Fatal(err)
+		}
+		if branchImg, err = NewInternal(children, seps).MarshalPage(); err != nil {
+			t.Fatal(err)
+		}
+		return leafImg, branchImg
+	}
+	allocs := func(entries int) float64 {
+		leafImg, branchImg := images(entries)
+		var total float64
+		for _, img := range [][]byte{leafImg, branchImg} {
+			total += testing.AllocsPerRun(50, func() {
+				var d Node
+				if err := d.UnmarshalPage(img); err != nil {
 					t.Fatal(err)
 				}
-				total += testing.AllocsPerRun(50, func() {
-					var d Node
-					if err := d.UnmarshalPage(img); err != nil {
-						t.Fatal(err)
-					}
-				})
+			})
+		}
+		return total
+	}
+	few, many := allocs(3), allocs(200)
+	t.Logf("%.0f allocations at 3 entries, %.0f at 200", few, many)
+	if many != few || many > 8 {
+		t.Fatalf("decoding a leaf and a branch allocates %.0f objects at 3 entries, %.0f at 200; want the same small constant",
+			few, many)
+	}
+
+	leafImg, _ := images(200)
+	e := Entry{Key: keyOf(201), RID: ridOf(201)} // odd: not yet present
+	decodeInsert := func(insert bool) float64 {
+		return testing.AllocsPerRun(50, func() {
+			var d Node
+			if err := d.UnmarshalPage(leafImg); err != nil {
+				t.Fatal(err)
 			}
-			return total
-		}
-		few, many := allocs(3), allocs(200)
-		t.Logf("comp=%v: %.0f allocations at 3 entries, %.0f at 200", comp, few, many)
-		if many != few || many > 8 {
-			t.Fatalf("comp=%v: decoding a leaf and a branch allocates %.0f objects at 3 entries, %.0f at 200; want the same small constant",
-				comp, few, many)
-		}
+			if insert {
+				i, _ := d.searchLeaf(e.Key, e.RID)
+				d.insertEntryAt(i, e)
+			}
+		})
+	}
+	plain, withInsert := decodeInsert(false), decodeInsert(true)
+	t.Logf("%.0f allocations to decode a 200-entry leaf, %.0f with one insert", plain, withInsert)
+	if withInsert != plain {
+		t.Fatalf("decoding a leaf allocates %.0f objects, %.0f with one insert after; want no more", plain, withInsert)
 	}
 }
 

@@ -190,30 +190,40 @@ func (t *Tree) splitChild(tl rm.TxnLogger, pf *buffer.Frame, parent *Node, cf *b
 func (t *Tree) buildRight(n *Node, cut int) *Node {
 	if n.leaf {
 		right := NewLeaf()
-		right.comp = n.comp
 		right.next = n.next
 		right.adoptEntries(n.entries[cut:])
-		right.resetPrefix() // no-op uncompressed; recomputes prefix+used otherwise
 		return right
 	}
 	children := append([]types.PageNum(nil), n.children[cut+1:]...)
-	return newInternalCopy(children, n.seps[cut+1:], n.comp)
+	return newInternalCopy(children, n.seps[cut+1:])
 }
 
 // adoptEntries gives an empty leaf copies of es, their keys in a slab of
 // its own.
 func (n *Node) adoptEntries(es []Entry) {
 	n.entries = append(make([]Entry, 0, len(es)), es...)
-	for _, e := range es {
-		n.used += entryBytes(e.Key)
-	}
 	n.relocate(0)
+	n.resetPrefix()
 }
 
-// newInternalCopy is NewInternalWith over copies of seps, their keys in a
-// slab of the new node's own.
-func newInternalCopy(children []types.PageNum, seps []sep, compress bool) *Node {
-	n := NewInternalWith(children, append(make([]sep, 0, len(seps)), seps...), compress)
+// keepFirst cuts n down to its first cut entries (a leaf, whose right
+// sibling becomes next) or separators, the left half of a split, and
+// rebuilds its prefix and used.
+func (n *Node) keepFirst(cut int, next types.PageNum) {
+	if n.leaf {
+		n.entries = n.entries[:cut]
+		n.next = next
+	} else {
+		n.seps = n.seps[:cut]
+		n.children = n.children[:cut+1]
+	}
+	n.resetPrefix()
+}
+
+// newInternalCopy is NewInternal over copies of seps, their keys in a slab
+// of the new node's own.
+func newInternalCopy(children []types.PageNum, seps []sep) *Node {
+	n := NewInternal(children, append(make([]sep, 0, len(seps)), seps...))
 	n.relocate(0)
 	return n
 }
@@ -221,21 +231,7 @@ func newInternalCopy(children []types.PageNum, seps []sep, compress bool) *Node 
 // truncateLeft applies the left half of a split to the existing node.
 func (t *Tree) truncateLeft(f *buffer.Frame, n *Node, cut int, next types.PageNum, lsn types.LSN) {
 	f.Latch.Acquire(latch.X)
-	if n.leaf {
-		for _, e := range n.entries[cut:] {
-			n.used -= entryBytes(e.Key)
-		}
-		n.entries = n.entries[:cut]
-		n.next = next
-	} else {
-		for _, s := range n.seps[cut:] {
-			n.used -= sepBytes(s.key)
-		}
-		n.used -= 4 * (len(n.children) - cut - 1)
-		n.seps = n.seps[:cut]
-		n.children = n.children[:cut+1]
-	}
-	n.resetPrefix() // no-op uncompressed; rebuilds prefix+used otherwise
+	n.keepFirst(cut, next)
 	f.MarkDirty(lsn)
 	f.Latch.Release(latch.X)
 }
@@ -262,12 +258,10 @@ func (t *Tree) splitRoot(tl rm.TxnLogger, rootF *buffer.Frame, root *Node, key [
 	var left *Node
 	if root.leaf {
 		left = NewLeaf()
-		left.comp = root.comp
 		left.adoptEntries(root.entries[:cut])
-		left.resetPrefix()
 	} else {
 		children := append([]types.PageNum(nil), root.children[:cut+1]...)
-		left = newInternalCopy(children, root.seps[:cut], root.comp)
+		left = newInternalCopy(children, root.seps[:cut])
 	}
 
 	lf, err := t.pool.NewPage(t.file, left)
@@ -286,10 +280,9 @@ func (t *Tree) splitRoot(tl rm.TxnLogger, rootF *buffer.Frame, root *Node, key [
 		// leaf).
 	}
 
-	newRoot := NewInternalWith(
+	newRoot := NewInternal(
 		[]types.PageNum{lf.ID.Page, rfr.ID.Page},
 		[]sep{{key: append([]byte(nil), promoted.key...), rid: promoted.rid}},
-		root.comp,
 	)
 
 	lw, rw, nw := enc.NewWriter(), enc.NewWriter(), enc.NewWriter()

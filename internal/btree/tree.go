@@ -369,37 +369,6 @@ func (t *Tree) Height() (int, error) {
 	}
 }
 
-// AvgBranchFanout returns the mean number of children per internal page,
-// or 0 for a single-leaf tree. Prefix truncation makes separators shorter and
-// branch pages correspondingly wider, so the compression benchmarks report
-// this next to the spill-byte counts.
-func (t *Tree) AvgBranchFanout() (float64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	level := []types.PageNum{RootPage}
-	var nodes, children int
-	for len(level) > 0 {
-		var next []types.PageNum
-		for _, pg := range level {
-			f, n, err := t.fetchLatched(pg, latch.S)
-			if err != nil {
-				return 0, err
-			}
-			if !n.leaf {
-				nodes++
-				children += len(n.children)
-				next = append(next, n.children...)
-			}
-			t.release(f, latch.S)
-		}
-		level = next
-	}
-	if nodes == 0 {
-		return 0, nil
-	}
-	return float64(children) / float64(nodes), nil
-}
-
 // CountEntries returns the number of live and pseudo-deleted entries.
 func (t *Tree) CountEntries() (live, pseudo int, err error) {
 	err = t.ScanRange(nil, nil, func(e Entry) bool {

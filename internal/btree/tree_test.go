@@ -34,7 +34,9 @@ func newTree(t *testing.T, unique bool, budget int) (*vfs.MemFS, *wal.Log, *buff
 func TestInsertAndSearch(t *testing.T) {
 	_, log, _, tr := newTree(t, false, smallBudget)
 	tl := &rm.SimpleLogger{L: log, Txn: 1}
-	const n = 500
+	// Enough keys for three levels even with prefix-truncated pages, whose
+	// fanout at this budget is about twice that of full-key pages.
+	const n = 2000
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	for _, i := range perm {
 		res, conflict, err := tr.TxnInsert(tl, keyOf(i), ridOf(i))

@@ -84,14 +84,6 @@ type Options struct {
 	// With SerialFinish set, produce and consume alternate on one
 	// goroutine — identical batches and checkpoints, deterministic I/O.
 	MergeOverlap bool
-	// CompressKeys stores sort-run items prefix-delta encoded against their
-	// predecessor and builds the index's leaf/branch pages with per-page
-	// prefix truncation, shrinking spill I/O and widening fanout when keys
-	// share long prefixes (composite keys, URLs, timestamps). The compression
-	// flag travels in the durable sort/merge/loader states, so a resumed
-	// build keeps the format its runs and pages were written with regardless
-	// of the option's value at resume time. Default off.
-	CompressKeys bool
 	// SortSideFile applies the side-file sorted ("for improved performance,
 	// IB could sort the entries of the side-file, without modifying the
 	// relative positions of the identical keys", §3.2.5). The tail appended
@@ -182,7 +174,7 @@ type Stats struct {
 	SideFileApplied uint64
 	Checkpoints     uint64
 	Runs            int    // sorted runs produced
-	BytesSpilled    uint64 // run-file bytes written by the sort (post-compression)
+	BytesSpilled    uint64 // run-file bytes written by the sort (prefix-delta encoded)
 	ScanSort        time.Duration
 	Insert          time.Duration // key insertion / bottom-up load
 	SideFile        time.Duration // side-file processing (SF)
@@ -216,9 +208,6 @@ type builder struct {
 	ctl  *engine.BuildCtl
 	tx   *txn.Txn // rotating builder transaction, committed at checkpoints
 	st   Stats
-	// runCompress is the run/page format actually in effect: CompressKeys for
-	// a fresh build, the durable sort state's flag for a resumed one.
-	runCompress bool
 	// prog is the build's progress tracker (nil when the engine runs with
 	// metrics disabled; all feeds are nil-safe).
 	prog *progress.Tracker

@@ -87,11 +87,10 @@ func partCapacity(sortMemory, parts int) int {
 // engine's sort metrics attached. SerialFinish keeps the partition feed
 // inline on the scan goroutine for a deterministic I/O order.
 func (b *builder) newSorter() *extsort.PartSorter {
-	s := extsort.NewPartSorterWith(b.db.FS(), sortPrefix(b.ix.ID),
+	s := extsort.NewPartSorter(b.db.FS(), sortPrefix(b.ix.ID),
 		partCapacity(b.opts.SortMemory, b.opts.SortPartitions),
-		b.opts.SortPartitions, !b.opts.SerialFinish, b.opts.CompressKeys)
+		b.opts.SortPartitions, !b.opts.SerialFinish)
 	s.SetMetrics(extsort.MetricsFrom(b.db.Metrics()))
-	b.runCompress = b.opts.CompressKeys
 	return s
 }
 
@@ -109,7 +108,6 @@ func (b *builder) resumeSorter(sortState []byte) (*extsort.PartSorter, []byte, e
 		return nil, nil, err
 	}
 	s.SetMetrics(extsort.MetricsFrom(b.db.Metrics()))
-	b.runCompress = s.Compressed() // the runs on disk decide, not the options
 	return s, scanPos, nil
 }
 
@@ -121,7 +119,6 @@ func (b *builder) resumeSorter(sortState []byte) (*extsort.PartSorter, []byte, e
 func (b *builder) mergeOpts() extsort.MergeOptions {
 	return extsort.MergeOptions{
 		Readahead: !b.opts.SerialFinish && (b.opts.SortPartitions > 1 || b.opts.MergeOverlap),
-		Compress:  b.runCompress,
 	}
 }
 

@@ -385,7 +385,7 @@ func (b *builder) restore(state *engine.IBState) error {
 			if err != nil {
 				return err
 			}
-			if b.loader, err = tree.RestartLoaderWith(ls, b.opts.FillFactor, b.runCompress); err != nil {
+			if b.loader, err = tree.RestartLoader(ls, b.opts.FillFactor); err != nil {
 				return err
 			}
 		}

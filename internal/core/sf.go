@@ -30,7 +30,7 @@ func (b *builder) load() error {
 	}
 	start := time.Now()
 	if b.loader == nil {
-		b.loader = tree.NewLoaderWith(b.opts.FillFactor, b.runCompress)
+		b.loader = tree.NewLoader(b.opts.FillFactor)
 	}
 	// merged counts keys consumed from the merge (absolute, aligned with the
 	// counter vector a resumed merger starts from).

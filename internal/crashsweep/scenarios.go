@@ -307,14 +307,16 @@ func Scenarios() []*Scenario {
 	// during the scan and on overlap hand-off points during the load.
 	sortparOpts := core.Options{SortMemory: 24, SortPartitions: 4, MergeOverlap: true,
 		SerialFinish: true, CheckpointPages: 2, CheckpointKeys: 48}
-	// Prefix compression end-to-end: delta-encoded run records and
-	// prefix-truncated tree pages, with SortMemory small enough to force
-	// several runs over the long shared-prefix "name-..." keys. Checkpoints
-	// land on compressed sort states (mid-run delta chains restart from
-	// RunMeta.High) and on loader states over compressed pages, so every
-	// fault point exercises a format-aware resume.
-	compressOpts := core.Options{SortMemory: 16, CompressKeys: true,
-		CheckpointPages: 2, CheckpointKeys: 40}
+	// Prefix compression under run pressure: a (qty, name) key is out of
+	// heap order, so SortMemory 16 cuts the scan into many prefix-delta
+	// runs whose neighbours share the qty and the long "name-..." prefix.
+	// Checkpoints land mid delta chain in more than one run and on loader
+	// states over prefix-truncated pages. (A name-only key arrives in heap
+	// order and sorts into one run at any SortMemory, so it would replay
+	// the sf trace byte for byte.)
+	compressOpts := core.Options{SortMemory: 16, CheckpointPages: 2, CheckpointKeys: 40}
+	compressSpec := engine.CreateIndexSpec{Name: "by_qty_name", Table: "items",
+		Columns: []string{"qty", "name"}, Method: catalog.MethodSF}
 
 	return []*Scenario{
 		{
@@ -330,6 +332,10 @@ func Scenarios() []*Scenario {
 			},
 		},
 		{
+			// The SF build over prefix-delta runs and prefix-truncated
+			// pages: a crash can land mid delta chain in a run, between a
+			// checkpoint and its run truncation, or mid load, and resume
+			// must continue each chain from its durable RunMeta.High.
 			Name:  "sf",
 			Rows:  360,
 			Opts:  sfOpts,
@@ -420,20 +426,20 @@ func Scenarios() []*Scenario {
 			ReadCheck: true,
 		},
 		{
-			// The SF build with CompressKeys on: a crash can land mid delta
-			// chain in a run, between a checkpoint and its run truncation, or
-			// mid load over prefix-truncated pages, and resume must keep the
-			// durable format (states carry the compression bit; pages carry
-			// theirs). The full oracle — tree invariants, heap↔index
-			// equivalence — runs at every fault point.
+			// The SF build with several delta-chained runs per sort: a
+			// crash can land mid chain in any run, between a checkpoint and
+			// its run truncation, or mid load, and resume must continue
+			// every chain from its durable RunMeta.High. The full oracle —
+			// tree invariants, heap↔index equivalence — runs at every fault
+			// point.
 			Name:  "compress",
 			Rows:  360,
 			Opts:  compressOpts,
-			Specs: []engine.CreateIndexSpec{nameSpec("by_name", catalog.MethodSF)},
+			Specs: []engine.CreateIndexSpec{compressSpec},
 			Run: func(db *engine.DB, rids []types.RID) error {
 				opts := compressOpts
 				opts.OnCheckpoint = observer(db, rids)
-				_, err := core.Build(db, nameSpec("by_name", catalog.MethodSF), opts)
+				_, err := core.Build(db, compressSpec, opts)
 				return err
 			},
 		},

@@ -23,13 +23,13 @@ var legacyTraceHashes = map[string]struct {
 	points uint64
 	sha    string
 }{
-	"nsf":      {235, "5693332f9b626074c14c47adc44a65aa27665a66828283f8d41a20889d7c1f7e"},
-	"sf":       {385, "6ced53454a78907d14a6f9173ff50f0ff1514893bfacda330cef3aaa82a36b80"},
-	"multi":    {433, "5d443c6cc9013636b6ceb89d56a41d0abf2a40b1382e4ceb0d448bb6e59d31d3"},
-	"sortpar":  {290, "435dd91ef8a51d329f4e52bbcaa4fd7bcb79048e56f2d764dd2ba0637662f718"},
-	"extsort":  {51, "59bd26a0ebe5e750e515e8f990b76f69f007a77a098456fbab633346033e13c6"},
-	"readpath": {277, "11803962d96f50defc0db8f8d8406ef7e1a3af0c4ff9c0945a8fbd2bc6b277d5"},
-	"shard2":   {315, "25ebfd9d1ef1f877599cbef802c46441b4837d698d24d1218a1134f5ad6f1be9"},
+	"nsf":      {235, "54eb67b6770e87900148060219b2a114625f530dcbe31e464f1cc817fdfbd5df"},
+	"sf":       {355, "c2ffb02261379f44a90520c772b7b7de988595389beab07f0e93da0e0b57003d"},
+	"multi":    {381, "cfeb0b71d264dd6d2d3d38b196c6a652df84ebe4b14cc70dd3bcac70aea92181"},
+	"sortpar":  {280, "9adc59764d685d52dd490e3bf5097936e94fb5b5728b3b7ee42e3400213fc0ce"},
+	"extsort":  {51, "7ab7611647755cade39795df7f75f6305b9a589f0f90180cad39be9c1114e588"},
+	"readpath": {249, "df388ef36e1cb72459775b5edf33bf63b6da9737edc9f79b5dd6745290f8eb71"},
+	"shard2":   {293, "73bf31517047821c09e4b5775736a181ff4f726ca628efa19dab3a0cb137b5ec"},
 }
 
 // TestLegacyTracesByteIdentical re-runs each legacy scenario's count run and

@@ -124,12 +124,12 @@ func TestMergeIsStableAcrossRuns(t *testing.T) {
 	// Identical keys must come out in run order (side-file application
 	// preserves the relative positions of identical keys, §3.2.5).
 	fs := vfs.NewMemFS()
-	w1, _ := createRun(fs, "r1", false)
+	w1, _ := createRun(fs, "r1")
 	w1.add([]byte("a"))
 	w1.add([]byte("k"))
 	w1.force()
 	w1.close()
-	w2, _ := createRun(fs, "r2", false)
+	w2, _ := createRun(fs, "r2")
 	w2.add([]byte("k"))
 	w2.add([]byte("z"))
 	w2.force()

@@ -21,7 +21,6 @@ type Merger struct {
 	counters []uint64
 	tree     *loserTree
 	started  bool
-	comp     bool
 }
 
 // MergeState is a merge-phase checkpoint: the input streams and the counter
@@ -31,20 +30,15 @@ type Merger struct {
 type MergeState struct {
 	Runs     []RunMeta
 	Counters []uint64
-	Compress bool // the input runs are prefix-delta compressed
 }
 
-// mergeStateMagic prefixes a MergeState over compressed runs. The legacy
-// encoding starts with the run count, so the sentinel is unambiguous and
-// uncompressed states stay byte-identical to the pre-compression format.
+// mergeStateMagic tags a MergeState over prefix-delta runs; like
+// sortStateMagic, a state without it is refused with ErrOldFormat.
 const mergeStateMagic = 0xffff_fffc
 
 // Encode serializes the state.
 func (st *MergeState) Encode() []byte {
-	w := enc.NewWriter()
-	if st.Compress {
-		w.U32(mergeStateMagic)
-	}
+	w := enc.NewWriter().U32(mergeStateMagic)
 	w.U32(uint32(len(st.Runs)))
 	for _, r := range st.Runs {
 		r.encode(w)
@@ -59,12 +53,11 @@ func (st *MergeState) Encode() []byte {
 // DecodeMergeState parses a MergeState.
 func DecodeMergeState(b []byte) (MergeState, error) {
 	r := enc.NewReader(b)
+	if r.U32() != mergeStateMagic && r.Err() == nil {
+		return MergeState{}, ErrOldFormat
+	}
 	st := MergeState{}
 	n := int(r.U32())
-	if uint32(n) == mergeStateMagic {
-		st.Compress = true
-		n = int(r.U32())
-	}
 	for i := 0; i < n; i++ {
 		st.Runs = append(st.Runs, decodeRunMeta(r))
 	}
@@ -82,10 +75,6 @@ type MergeOptions struct {
 	// deterministic fault-injection harness needs the merge loop itself to
 	// issue every read in a single-goroutine order.
 	Readahead bool
-	// Compress declares the input runs prefix-delta compressed (they must
-	// have been written by a compressed sorter). ResumeMergerWith overrides
-	// this from the durable MergeState, so restarts cannot mis-decode.
-	Compress bool
 }
 
 // NewMerger opens a merge over the runs. counters may be nil (merge from the
@@ -98,12 +87,12 @@ func NewMerger(fs vfs.FS, runs []RunMeta, counters []uint64) (*Merger, error) {
 
 // NewMergerWith is NewMerger with explicit I/O options.
 func NewMergerWith(fs vfs.FS, runs []RunMeta, counters []uint64, opts MergeOptions) (*Merger, error) {
-	m := &Merger{runs: runs, counters: make([]uint64, len(runs)), comp: opts.Compress}
+	m := &Merger{runs: runs, counters: make([]uint64, len(runs))}
 	if counters != nil {
 		copy(m.counters, counters)
 	}
 	for i, r := range runs {
-		rd, err := openRun(fs, r, opts.Compress)
+		rd, err := openRun(fs, r)
 		if err != nil {
 			m.Close()
 			return nil, err
@@ -129,9 +118,7 @@ func ResumeMerger(fs vfs.FS, st MergeState) (*Merger, error) {
 }
 
 // ResumeMergerWith reopens a merge from a checkpoint with explicit options.
-// The run encoding recorded in the durable state overrides opts.Compress.
 func ResumeMergerWith(fs vfs.FS, st MergeState, opts MergeOptions) (*Merger, error) {
-	opts.Compress = st.Compress
 	return NewMergerWith(fs, st.Runs, st.Counters, opts)
 }
 
@@ -189,7 +176,7 @@ func (m *Merger) Counters() []uint64 {
 
 // State returns a full merge checkpoint.
 func (m *Merger) State() MergeState {
-	return MergeState{Runs: m.runs, Counters: m.Counters(), Compress: m.comp}
+	return MergeState{Runs: m.runs, Counters: m.Counters()}
 }
 
 // Close releases the input files.

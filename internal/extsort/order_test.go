@@ -85,12 +85,12 @@ func TestLoserTreeRunOrderMatchesStableSort(t *testing.T) {
 }
 
 // writeRuns writes each item list, sorted, as one run file.
-func writeRuns(t testing.TB, fs vfs.FS, runs [][][]byte, comp bool) []RunMeta {
+func writeRuns(t testing.TB, fs vfs.FS, runs [][][]byte) []RunMeta {
 	t.Helper()
 	var metas []RunMeta
 	for i, items := range runs {
 		slices.SortStableFunc(items, bytes.Compare)
-		w, err := createRun(fs, fmt.Sprintf("order-run-%06d", i), comp)
+		w, err := createRun(fs, fmt.Sprintf("order-run-%06d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,10 +110,10 @@ func writeRuns(t testing.TB, fs vfs.FS, runs [][][]byte, comp bool) []RunMeta {
 // checkMergeOrder merges the runs and requires the stable sort of their
 // concatenation in run order: equal items must leave in run order, and
 // every item must name its own run.
-func checkMergeOrder(t testing.TB, runs [][][]byte, comp bool, opts MergeOptions) {
+func checkMergeOrder(t testing.TB, runs [][][]byte, opts MergeOptions) {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	metas := writeRuns(t, fs, runs, comp)
+	metas := writeRuns(t, fs, runs)
 	var want []tagged
 	for r, items := range runs {
 		for _, it := range items {
@@ -121,7 +121,6 @@ func checkMergeOrder(t testing.TB, runs [][][]byte, comp bool, opts MergeOptions
 		}
 	}
 	slices.SortStableFunc(want, func(a, b tagged) int { return bytes.Compare(a.item, b.item) })
-	opts.Compress = comp
 	m, err := NewMergerWith(fs, metas, nil, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +157,7 @@ func TestMergeOrderMatchesStableSort(t *testing.T) {
 				runs[r] = append(runs[r], orderKey(rng))
 			}
 		}
-		comp := trial%2 == 1
-		checkMergeOrder(t, runs, comp, MergeOptions{Readahead: trial%4 >= 2})
+		checkMergeOrder(t, runs, MergeOptions{Readahead: trial%2 == 1})
 	}
 }
 
@@ -175,7 +173,7 @@ func TestSortOrderMatchesStableSort(t *testing.T) {
 		}
 		capacity := 2 + rng.Intn(30)
 		fs := vfs.NewMemFS()
-		s := NewSorterWith(fs, "t", capacity, trial%2 == 1)
+		s := NewSorter(fs, "t", capacity)
 		every := 1 + rng.Intn(200)
 		for i, it := range items {
 			if err := s.Add(it); err != nil {
@@ -191,7 +189,7 @@ func TestSortOrderMatchesStableSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := mergeRuns(t, fs, runs, MergeOptions{Compress: trial%2 == 1})
+		got := mergeRuns(t, fs, runs, MergeOptions{})
 		want := slices.Clone(items)
 		slices.SortStableFunc(want, bytes.Compare)
 		requireSameOutput(t, got, want, fmt.Sprintf("trial %d", trial))
@@ -200,38 +198,36 @@ func TestSortOrderMatchesStableSort(t *testing.T) {
 
 // TestMergerNextBorrowedItems checks the borrow contract on one run, where
 // every Next refills the same reader: each item, copied by the consumer
-// before the next call, is correct — including compressed runs, whose
-// reader rebuilds each item against the one it just lent out.
+// before the next call, is correct, though the reader rebuilds each item
+// against the one it just lent out.
 func TestMergerNextBorrowedItems(t *testing.T) {
 	items := [][]byte{
 		[]byte("a"), []byte("ab"), []byte("ab\x00"), []byte("ab\x00\x00longer-tail"),
 		[]byte("abc"), []byte("abc"), []byte("b"), []byte("shared-prefix-16-x"),
 		[]byte("shared-prefix-16-y"), []byte("shared-prefix-16-yy"), []byte("z"),
 	}
-	for _, comp := range []bool{false, true} {
-		for _, readahead := range []bool{false, true} {
-			fs := vfs.NewMemFS()
-			metas := writeRuns(t, fs, [][][]byte{slices.Clone(items)}, comp)
-			m, err := NewMergerWith(fs, metas, nil, MergeOptions{Compress: comp, Readahead: readahead})
+	for _, readahead := range []bool{false, true} {
+		fs := vfs.NewMemFS()
+		metas := writeRuns(t, fs, [][][]byte{slices.Clone(items)})
+		m, err := NewMergerWith(fs, metas, nil, MergeOptions{Readahead: readahead})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept [][]byte
+		prev, _, _, _ := m.Next()
+		for {
+			kept = append(kept, bytes.Clone(prev))
+			next, _, ok, err := m.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
-			var kept [][]byte
-			prev, _, _, _ := m.Next()
-			for {
-				kept = append(kept, bytes.Clone(prev))
-				next, _, ok, err := m.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				prev = next
+			if !ok {
+				break
 			}
-			m.Close()
-			requireSameOutput(t, kept, items, fmt.Sprintf("comp=%v readahead=%v", comp, readahead))
+			prev = next
 		}
+		m.Close()
+		requireSameOutput(t, kept, items, fmt.Sprintf("readahead=%v", readahead))
 	}
 }
 
@@ -251,7 +247,7 @@ func FuzzTournamentOrder(f *testing.F) {
 		}
 		capacity := 2 + int(shape%7)
 		fs := vfs.NewMemFS()
-		s := NewSorterWith(fs, "f", capacity, shape&0x80 != 0)
+		s := NewSorter(fs, "f", capacity)
 		for _, it := range items {
 			if err := s.Add(it); err != nil {
 				t.Fatal(err)
@@ -263,13 +259,13 @@ func FuzzTournamentOrder(f *testing.F) {
 		}
 		want := slices.Clone(items)
 		slices.SortStableFunc(want, bytes.Compare)
-		requireSameOutput(t, mergeRuns(t, fs, runs, MergeOptions{Compress: shape&0x80 != 0}), want, "sort")
+		requireSameOutput(t, mergeRuns(t, fs, runs, MergeOptions{Readahead: shape&0x80 != 0}), want, "sort")
 
 		dealt := make([][][]byte, 1+int(shape%5))
 		for i, it := range items {
 			dealt[i%len(dealt)] = append(dealt[i%len(dealt)], it)
 		}
-		checkMergeOrder(t, dealt, shape&0x40 != 0, MergeOptions{})
+		checkMergeOrder(t, dealt, MergeOptions{Readahead: shape&0x40 != 0})
 	})
 }
 
@@ -307,27 +303,25 @@ func TestSorterAddZeroAllocsAfterFill(t *testing.T) {
 // alternates two item buffers, so Next allocates nothing once they and the
 // read window have grown.
 func TestMergerNextZeroAllocs(t *testing.T) {
-	for _, comp := range []bool{false, true} {
-		fs := vfs.NewMemFS()
-		runs := make([][][]byte, 4)
-		for i := 0; i < 40000; i++ {
-			runs[i%4] = append(runs[i%4], []byte(fmt.Sprintf("key-%012d", i)))
+	fs := vfs.NewMemFS()
+	runs := make([][][]byte, 4)
+	for i := 0; i < 40000; i++ {
+		runs[i%4] = append(runs[i%4], []byte(fmt.Sprintf("key-%012d", i)))
+	}
+	m, err := NewMerger(fs, writeRuns(t, fs, runs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	next := func() {
+		if _, _, ok, err := m.Next(); err != nil || !ok {
+			t.Fatal(err, ok)
 		}
-		m, err := NewMergerWith(fs, writeRuns(t, fs, runs, comp), nil, MergeOptions{Compress: comp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		next := func() {
-			if _, _, ok, err := m.Next(); err != nil || !ok {
-				t.Fatal(err, ok)
-			}
-		}
-		for i := 0; i < 1000; i++ {
-			next()
-		}
-		if avg := testing.AllocsPerRun(20000, next); avg != 0 {
-			t.Fatalf("comp=%v: Merger.Next allocates %.2f objects/item, want 0", comp, avg)
-		}
-		m.Close()
+	}
+	for i := 0; i < 1000; i++ {
+		next()
+	}
+	if avg := testing.AllocsPerRun(20000, next); avg != 0 {
+		t.Fatalf("Merger.Next allocates %.2f objects/item, want 0", avg)
 	}
 }

@@ -68,30 +68,20 @@ func partPrefix(prefix string, i int) string { return fmt.Sprintf("%s-p%d", pref
 // replacement-selection Sorter with the given tree capacity (capacity is
 // per partition). parts <= 1 selects the serial single-sorter layout.
 func NewPartSorter(fs vfs.FS, prefix string, capacity, parts int, concurrent bool) *PartSorter {
-	return NewPartSorterWith(fs, prefix, capacity, parts, concurrent, false)
-}
-
-// NewPartSorterWith is NewPartSorter with prefix-delta run compression
-// selectable; every partition shares the setting, and each partition's
-// checkpoint records it durably.
-func NewPartSorterWith(fs vfs.FS, prefix string, capacity, parts int, concurrent, compress bool) *PartSorter {
 	if parts < 1 {
 		parts = 1
 	}
 	p := &PartSorter{prefix: prefix, conc: concurrent && parts > 1}
 	if parts == 1 {
-		p.parts = []*Sorter{NewSorterWith(fs, prefix, capacity, compress)}
+		p.parts = []*Sorter{NewSorter(fs, prefix, capacity)}
 		return p
 	}
 	for i := 0; i < parts; i++ {
-		p.parts = append(p.parts, NewSorterWith(fs, partPrefix(prefix, i), capacity, compress))
+		p.parts = append(p.parts, NewSorter(fs, partPrefix(prefix, i), capacity))
 	}
 	p.start()
 	return p
 }
-
-// Compressed reports whether the partitions write prefix-delta runs.
-func (p *PartSorter) Compressed() bool { return p.parts[0].Compressed() }
 
 // start spawns the partition workers (concurrent mode only).
 func (p *PartSorter) start() {
@@ -364,7 +354,7 @@ func ResumePartSorter(fs vfs.FS, st PartSortState, capacity int, concurrent bool
 		return p, scanPos, nil
 	}
 	for i, ps := range st.Parts {
-		s := NewSorterWith(fs, partPrefix(st.Prefix, i), capacity, ps.Compress)
+		s := NewSorter(fs, partPrefix(st.Prefix, i), capacity)
 		s2, _, err := resumeSorter(fs, s, ps)
 		if err != nil {
 			return nil, nil, err

@@ -24,7 +24,7 @@ const noProgressLimit = 8
 // sort-phase checkpoint records per stream ("file names, etc." plus, for the
 // last stream, "the value of the highest key that was output", §5.1).
 //
-// High doubles as the delta predecessor for compressed runs: it is the last
+// High doubles as the delta predecessor of the run format: it is the last
 // item written, so a writer reopened from a checkpoint can resume
 // prefix-delta encoding against it without any extra durable state.
 type RunMeta struct {
@@ -42,19 +42,12 @@ func decodeRunMeta(r *enc.Reader) RunMeta {
 	return RunMeta{Name: r.String32(), Count: r.U64(), Bytes: int64(r.U64()), High: r.Bytes32()}
 }
 
-// Run file formats:
-//
-//	legacy:     a sequence of [uint32 LE length][item bytes] records.
-//	compressed: a sequence of [uint16 LE shared][uint16 LE suffixLen][suffix]
-//	            records, where shared is the byte length of the prefix this
-//	            item has in common with the previous item in the run (0 for
-//	            the first item) and suffix is the remainder. Because items
-//	            are memcmp-comparable keyenc encodings followed by the RID
-//	            suffix, reconstruction (prev[:shared] + suffix) preserves
-//	            order exactly.
-//
-// Both record headers are 4 bytes, so compression saves exactly the shared
-// prefix bytes per item.
+// Run file format: a sequence of [uint16 LE shared][uint16 LE suffixLen]
+// [suffix] records, where shared is the byte length of the prefix this item
+// has in common with the previous item in the run (0 for the first item)
+// and suffix is the remainder. Because items are memcmp-comparable keyenc
+// encodings followed by the RID suffix, reconstruction (prev[:shared] +
+// suffix) preserves order exactly.
 
 // commonPrefixLen returns the length of the longest common prefix of a and b.
 func commonPrefixLen(a, b []byte) int {
@@ -73,23 +66,22 @@ func commonPrefixLen(a, b []byte) int {
 type runWriter struct {
 	f    vfs.File
 	meta RunMeta
-	comp bool
 	buf  []byte // pending bytes not yet written through
 }
 
-func createRun(fs vfs.FS, name string, comp bool) (*runWriter, error) {
+func createRun(fs vfs.FS, name string) (*runWriter, error) {
 	f, err := fs.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	return &runWriter{f: f, meta: RunMeta{Name: name}, comp: comp}, nil
+	return &runWriter{f: f, meta: RunMeta{Name: name}}, nil
 }
 
 // reopenRun opens an existing run for appending, truncating it to the
 // checkpointed state first (restart: "reposition the last sorted output
 // stream ... to the end of file position recorded in the checkpoint").
-// For a compressed run, meta.High seeds the delta predecessor.
-func reopenRun(fs vfs.FS, meta RunMeta, comp bool) (*runWriter, error) {
+// meta.High seeds the delta predecessor.
+func reopenRun(fs vfs.FS, meta RunMeta) (*runWriter, error) {
 	f, err := fs.Open(meta.Name)
 	if err != nil {
 		return nil, err
@@ -98,33 +90,24 @@ func reopenRun(fs vfs.FS, meta RunMeta, comp bool) (*runWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	return &runWriter{f: f, meta: meta, comp: comp}, nil
+	return &runWriter{f: f, meta: meta}, nil
 }
 
 func (w *runWriter) add(item []byte) error {
-	if w.comp {
-		shared := commonPrefixLen(w.meta.High, item)
-		if w.meta.Count == 0 && w.meta.Bytes == 0 && len(w.buf) == 0 {
-			shared = 0 // a stale High from a recycled meta must not leak in
-		}
-		if shared > 0xffff {
-			shared = 0xffff
-		}
-		suffix := item[shared:]
-		if len(suffix) > 0xffff {
-			return fmt.Errorf("extsort: item suffix %d bytes exceeds compressed-run limit", len(suffix))
-		}
-		var hdr [4]byte
-		binary.LittleEndian.PutUint16(hdr[0:2], uint16(shared))
-		binary.LittleEndian.PutUint16(hdr[2:4], uint16(len(suffix)))
-		w.buf = append(w.buf, hdr[:]...)
-		w.buf = append(w.buf, suffix...)
-	} else {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(item)))
-		w.buf = append(w.buf, hdr[:]...)
-		w.buf = append(w.buf, item...)
+	shared := commonPrefixLen(w.meta.High, item)
+	if w.meta.Count == 0 && w.meta.Bytes == 0 && len(w.buf) == 0 {
+		shared = 0 // a stale High from a recycled meta must not leak in
 	}
+	if shared > 0xffff {
+		shared = 0xffff
+	}
+	suffix := item[shared:]
+	if len(suffix) > 0xffff {
+		return fmt.Errorf("extsort: item suffix %d bytes exceeds the run record limit", len(suffix))
+	}
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(shared))
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(suffix)))
+	w.buf = append(w.buf, suffix...)
 	w.meta.Count++
 	w.meta.High = append(w.meta.High[:0], item...)
 	if len(w.buf) >= 1<<16 {
@@ -169,7 +152,6 @@ type runReader struct {
 	rdbuf  []byte
 	bufOff int64 // file offset of rdbuf[0]
 	count  uint64
-	comp   bool
 	items  [2][]byte // item buffers, alternated so the last item outlives the next read
 	cur    int       // index into items of the last item returned
 
@@ -188,19 +170,19 @@ type pfBlock struct {
 	err  error
 }
 
-func openRun(fs vfs.FS, meta RunMeta, comp bool) (*runReader, error) {
+func openRun(fs vfs.FS, meta RunMeta) (*runReader, error) {
 	f, err := fs.Open(meta.Name)
 	if err != nil {
 		return nil, err
 	}
 	vfs.Advise(f) // runs are consumed front to back; ask the OS for readahead
-	return &runReader{f: f, comp: comp}, nil
+	return &runReader{f: f}, nil
 }
 
 // next returns the next item, or ok=false at end of run. The item lives in
 // one of the reader's two buffers and stays valid until the call after
-// next; for compressed runs the other buffer holds the predecessor that
-// prev[:shared] + suffix reconstitutes against.
+// next; the other buffer holds the predecessor that prev[:shared] + suffix
+// reconstitutes against.
 func (r *runReader) next() ([]byte, bool, error) {
 	hdr, err := r.read(4)
 	if err == io.EOF {
@@ -209,31 +191,21 @@ func (r *runReader) next() ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	shared := int(binary.LittleEndian.Uint16(hdr[0:2]))
+	sufLen := int(binary.LittleEndian.Uint16(hdr[2:4]))
 	prev := r.items[r.cur]
-	r.cur ^= 1
-	out := r.items[r.cur][:0]
-	if r.comp {
-		shared := int(binary.LittleEndian.Uint16(hdr[0:2]))
-		sufLen := int(binary.LittleEndian.Uint16(hdr[2:4]))
-		if r.count == 0 {
-			prev = nil // the first item of a run has no predecessor
-		}
-		if shared > len(prev) {
-			return nil, false, fmt.Errorf("extsort: corrupt compressed run: shared %d > prev %d", shared, len(prev))
-		}
-		suffix, err := r.read(sufLen)
-		if err != nil {
-			return nil, false, fmt.Errorf("extsort: truncated run item: %w", err)
-		}
-		out = append(append(out, prev[:shared]...), suffix...)
-	} else {
-		n := binary.LittleEndian.Uint32(hdr)
-		item, err := r.read(int(n))
-		if err != nil {
-			return nil, false, fmt.Errorf("extsort: truncated run item: %w", err)
-		}
-		out = append(out, item...)
+	if r.count == 0 {
+		prev = nil // the first item of a run has no predecessor
 	}
+	if shared > len(prev) {
+		return nil, false, fmt.Errorf("extsort: corrupt run: shared %d > prev %d", shared, len(prev))
+	}
+	suffix, err := r.read(sufLen)
+	if err != nil {
+		return nil, false, fmt.Errorf("extsort: truncated run item: %w", err)
+	}
+	r.cur ^= 1
+	out := append(append(r.items[r.cur][:0], prev[:shared]...), suffix...)
 	r.items[r.cur] = out
 	r.count++
 	return out, true, nil

@@ -141,11 +141,10 @@ type IndexSpec struct {
 // in the staged scan pipeline (default 1 — serial); SortPartitions fans the
 // sort's run generation out across independent sorters (default 1 —
 // serial); MergeOverlap pipelines the run merge into the index load
-// (default off); CompressKeys prefix-delta encodes spilled sort runs and
-// prefix-truncates tree pages (default off — worthwhile for composite keys
-// with long shared prefixes; see the README's "Key compression" note). The
-// zero value is valid; out-of-range fields make the build fail with
-// ErrInvalidBuildOptions.
+// (default off). Keys have one format, prefix-delta runs and
+// prefix-truncated pages, with no option (see the README's "Key format"
+// note). The zero value is valid; out-of-range fields make the build fail
+// with ErrInvalidBuildOptions.
 type BuildOptions = core.Options
 
 // ErrInvalidBuildOptions is wrapped by the error every build entry point

@@ -53,6 +53,7 @@ sweep)
     go test -run xxx -fuzz FuzzWALRoundTrip -fuzztime 60s ./internal/wal
     go test -run xxx -fuzz FuzzZoneMapPrune -fuzztime 60s ./internal/zonemap
     go test -run xxx -fuzz FuzzRunDelta -fuzztime 60s ./internal/extsort
+    go test -run xxx -fuzz FuzzNodeImage -fuzztime 60s ./internal/btree
     go test -run xxx -fuzz FuzzTournamentOrder -fuzztime 60s ./internal/extsort
     ;;
 overhead)
