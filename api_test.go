@@ -242,12 +242,11 @@ func TestFacadeConcurrentUse(t *testing.T) {
 }
 
 // TestFacadeBuildOptions exercises the options surface through the facade:
-// ScanWorkers flows to the staged scan pipeline, and out-of-range options
-// fail with ErrInvalidBuildOptions before any descriptor is created.
+// CheckpointPages flows to the scan, and out-of-range options fail with
+// ErrInvalidBuildOptions before any descriptor is created.
 func TestFacadeBuildOptions(t *testing.T) {
 	db := apiDB(t)
-	// Enough rows for several heap pages: the pipeline clamps its worker
-	// count to the page count, and the test asserts all 4 workers ran.
+	// Enough rows for several heap pages, so the scan checkpoints.
 	for i := 0; i < 3000; i++ {
 		tx := db.Begin()
 		if _, err := db.Insert(tx, "t", apiRow(int64(i))); err != nil {
@@ -261,19 +260,19 @@ func TestFacadeBuildOptions(t *testing.T) {
 	spec := onlineindex.IndexSpec{
 		Name: "by_name", Table: "t", Columns: []string{"name"}, Method: onlineindex.NSF,
 	}
-	if _, err := db.BuildIndex(spec, onlineindex.BuildOptions{ScanWorkers: -1}); !errors.Is(err, onlineindex.ErrInvalidBuildOptions) {
+	if _, err := db.BuildIndex(spec, onlineindex.BuildOptions{SortMemory: -1}); !errors.Is(err, onlineindex.ErrInvalidBuildOptions) {
 		t.Fatalf("err = %v, want ErrInvalidBuildOptions", err)
 	}
 	if _, ok := db.Index("by_name"); ok {
 		t.Fatal("rejected build left a descriptor")
 	}
 
-	res, err := db.BuildIndex(spec, onlineindex.BuildOptions{ScanWorkers: 4})
+	res, err := db.BuildIndex(spec, onlineindex.BuildOptions{CheckpointPages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Pipeline.Workers != 4 {
-		t.Fatalf("pipeline workers = %d, want 4", res.Stats.Pipeline.Workers)
+	if res.Stats.Checkpoints == 0 {
+		t.Fatalf("no checkpoints at CheckpointPages 2 over %d pages", res.Stats.PagesScanned)
 	}
 	if err := db.CheckIndexConsistency("by_name"); err != nil {
 		t.Fatal(err)

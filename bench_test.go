@@ -62,33 +62,30 @@ func BenchmarkE1Build(b *testing.B) {
 }
 
 // BenchmarkE1BuildTime measures quiet-table build wall-clock on a 200k-row
-// table with the staged scan pipeline at 1 and 4 key-extraction workers: the
-// acceptance check for the pipeline is that workers=4 beats workers=1.
+// table.
 func BenchmarkE1BuildTime(b *testing.B) {
 	const rows = 200_000
 	for _, method := range []catalog.BuildMethod{catalog.MethodNSF, catalog.MethodSF} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", method, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					db, err := engine.Open(engine.Config{FS: vfs.NewMemFS(), PoolSize: 4096})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := db.CreateTable("orders", workload.Schema()); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := workload.Populate(db, "orders", rows, 24); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					if _, err := core.Build(db, buildSpec(method), core.Options{ScanWorkers: workers}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(method.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db, err := engine.Open(engine.Config{FS: vfs.NewMemFS(), PoolSize: 4096})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "keys/s")
-			})
-		}
+				if _, err := db.CreateTable("orders", workload.Schema()); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := workload.Populate(db, "orders", rows, 24); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := core.Build(db, buildSpec(method), core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "keys/s")
+		})
 	}
 }
 

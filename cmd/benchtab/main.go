@@ -6,7 +6,6 @@
 //	benchtab                      # run every experiment at full scale
 //	benchtab -run E4,E5           # run a subset
 //	benchtab -scale 0.2           # shrink table sizes for a quick pass
-//	benchtab -workers 4           # scan-pipeline workers for build experiments
 //	benchtab -list                # list experiments and exit
 //
 // The repository's benchmark (build rate, DML latency during builds, reads
@@ -26,7 +25,6 @@ import (
 func main() {
 	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	scale := flag.Float64("scale", 1.0, "table-size scale factor")
-	workers := flag.Int("workers", 1, "scan-pipeline key-extraction workers (core.Options.ScanWorkers)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
@@ -37,7 +35,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Scale: *scale, Workers: *workers, Out: os.Stdout}
+	cfg := experiments.Config{Scale: *scale, Out: os.Stdout}
 
 	var selected []experiments.Experiment
 	if *run == "" {

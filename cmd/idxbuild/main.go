@@ -37,9 +37,6 @@ func main() {
 	unique := flag.Bool("unique", false, "build a unique index (on the id column)")
 	crash := flag.Bool("crash", false, "crash at the build's first checkpoint, then recover and resume")
 	sortSF := flag.Bool("sortsf", false, "apply the side-file sorted (SF only)")
-	workers := flag.Int("workers", 0, "parallel key-extraction workers for the scan pipeline (0 = serial)")
-	sortParts := flag.Int("sort-partitions", 0, "parallel sort partitions behind the scan (0/1 = serial sorter)")
-	overlap := flag.Bool("merge-overlap", false, "overlap the run merge with index loading (§2.2.2)")
 	adminAddr := flag.String("admin", "", "serve the live admin endpoint on this address (e.g. 127.0.0.1:7070; port 0 picks one)")
 	linger := flag.Duration("linger", 0, "keep the admin endpoint serving this long after the build finishes")
 	bufShards := flag.Int("buffer-shards", 0, "buffer pool page-table shards, rounded up to a power of two (0 = min(16, GOMAXPROCS))")
@@ -112,7 +109,6 @@ func main() {
 	}
 	opts := onlineindex.BuildOptions{
 		CheckpointPages: 64, CheckpointKeys: 10_000, SortSideFile: *sortSF,
-		ScanWorkers: *workers, SortPartitions: *sortParts, MergeOverlap: *overlap,
 	}
 
 	var runner *workload.Runner

@@ -96,52 +96,6 @@ func (ld *Loader) Add(e Entry) error {
 	return nil
 }
 
-// AddBatch appends a run of ascending entries. Equivalent to calling Add
-// per entry, but consecutive entries that land in the same leaf are
-// inserted under one latch acquisition — the hand-off granularity of the
-// overlapped merge→load path makes the per-entry latch traffic visible
-// otherwise.
-func (ld *Loader) AddBatch(es []Entry) error {
-	for i := 0; i < len(es); {
-		// The batch's first entry (and each one that opens a new leaf) goes
-		// through Add: leaf creation and separator propagation stay in one
-		// place.
-		if err := ld.Add(es[i]); err != nil {
-			return err
-		}
-		i++
-		if i >= len(es) || len(ld.levels) == 0 {
-			continue
-		}
-		var batchErr error
-		mutate(ld.t.pool, ld.levels[0], func(n *Node) {
-			for i < len(es) {
-				e := es[i]
-				c := CompareEntry(e.Key, e.RID, ld.high.Key, ld.high.RID)
-				if c < 0 {
-					batchErr = fmt.Errorf("btree: loader entries out of order: %x < %x", e.Key, ld.high.Key)
-					return
-				}
-				if c == 0 {
-					i++ // duplicate from a restarted sort merge; idempotent
-					continue
-				}
-				if !n.hasRoomEntry(e.Key, ld.fillBudget) {
-					return // next Add opens a fresh leaf
-				}
-				n.insertEntryAt(len(n.entries), e)
-				ld.count++
-				ld.setHigh(e)
-				i++
-			}
-		})
-		if batchErr != nil {
-			return batchErr
-		}
-	}
-	return nil
-}
-
 // setHigh records e as the last entry added, reusing the key buffer.
 func (ld *Loader) setHigh(e Entry) {
 	ld.high = Entry{Key: append(ld.high.Key[:0], e.Key...), RID: e.RID, Pseudo: e.Pseudo}

@@ -55,35 +55,6 @@ type Options struct {
 	CheckpointKeys int
 	// BatchSize is the NSF multi-key insert batch. Default 64.
 	BatchSize int
-	// ScanWorkers is the number of parallel key-extraction workers in the
-	// staged scan pipeline (see pipeline.go). Default 1: extraction runs
-	// inline on the scan goroutine. At any worker count the page visit and
-	// the sorter feed stay in strict page order, so the SF Current-RID
-	// invariant (§3.2.2) and the scan checkpoints are unaffected; workers
-	// only spread the key extraction between the two serial stages.
-	ScanWorkers int
-	// SortPartitions fans run generation out over N independent
-	// replacement-selection sorters, fed round-robin by page from the
-	// in-order feed (partition.go in extsort). SortMemory is split across
-	// the partitions, each emits its own run stream under a disjoint file
-	// prefix, and the merge simply sees a wider set of inputs — §5.2's
-	// per-stream counter vector makes a wide merge exactly as restartable
-	// as a narrow one. Default 1: the serial sorter with today's I/O
-	// sequence, op for op. With SerialFinish set, the partitions are fed
-	// inline on the scan goroutine (same runs and checkpoints,
-	// deterministic I/O order for the fault-injection harness).
-	SortPartitions int
-	// MergeOverlap hands merged keys to the bottom-up loader through a
-	// small bounded buffer so the final merge runs concurrently with leaf
-	// construction — §2.2.2's "the final merge phase of sort can be
-	// performed as keys are being inserted into the index". Checkpoints
-	// are taken only at batch hand-off points, where the merge-counter
-	// vector and the loader position form a consistent pair. Applies to
-	// the SF load phase (non-unique indexes; the unique path's held-back
-	// dup verification needs the serial loop) and the offline baseline.
-	// With SerialFinish set, produce and consume alternate on one
-	// goroutine — identical batches and checkpoints, deterministic I/O.
-	MergeOverlap bool
 	// SortSideFile applies the side-file sorted ("for improved performance,
 	// IB could sort the entries of the side-file, without modifying the
 	// relative positions of the identical keys", §3.2.5). The tail appended
@@ -135,12 +106,6 @@ func (o Options) Validate() error {
 	if o.BatchSize < 0 {
 		return fail("BatchSize %d is negative", o.BatchSize)
 	}
-	if o.ScanWorkers < 0 {
-		return fail("ScanWorkers %d is negative", o.ScanWorkers)
-	}
-	if o.SortPartitions < 0 {
-		return fail("SortPartitions %d is negative", o.SortPartitions)
-	}
 	return nil
 }
 
@@ -153,12 +118,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 64
-	}
-	if o.ScanWorkers == 0 {
-		o.ScanWorkers = 1
-	}
-	if o.SortPartitions == 0 {
-		o.SortPartitions = 1
 	}
 	return o
 }
@@ -179,9 +138,8 @@ type Stats struct {
 	Insert          time.Duration // key insertion / bottom-up load
 	SideFile        time.Duration // side-file processing (SF)
 	QuiesceWait     time.Duration // time spent waiting to quiesce (NSF DDL / offline)
-	// Pipeline breaks the scan phase down by pipeline stage (prefetch /
-	// extraction / sorter feed) so ScanSort's wall clock stays explainable
-	// when extraction fans out over Options.ScanWorkers.
+	// Pipeline breaks the scan phase down by step (key extraction, sorter
+	// feed) so ScanSort's wall clock stays explainable.
 	Pipeline harness.PipelineStats
 	GC       struct {
 		Collected, Skipped int
@@ -213,7 +171,7 @@ type builder struct {
 	prog *progress.Tracker
 	// The state one step hands the next. A fresh build fills it as it
 	// goes; a resumed one restores it from its checkpoint (restore).
-	sorter   *extsort.PartSorter
+	sorter   *extsort.Sorter
 	from, to types.PageNum // scan: next page to visit, noted end (exclusive)
 	merger   *extsort.Merger
 	loader   *btree.Loader

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"onlineindex/internal/catalog"
+	"onlineindex/internal/enc"
 	"onlineindex/internal/engine"
 	"onlineindex/internal/extsort"
 	"onlineindex/internal/types"
@@ -112,10 +113,11 @@ func TestCompressedBuildDifferential(t *testing.T) {
 	}
 }
 
-func TestResumeRefusesOldFormat(t *testing.T) {
-	// A build checkpointed before prefix-delta runs became the only format
-	// carries untagged sort or merge states. Resume must refuse them with
-	// extsort.ErrOldFormat rather than decode the runs as the new format.
+// checkpointedSFBuild crashes an SF build of by_name over 1,500 rows right
+// after its n'th checkpoint and returns the recovered database with the
+// build it left pending.
+func checkpointedSFBuild(t *testing.T, n int) (*engine.DB, engine.PendingBuild) {
+	t.Helper()
 	fs := vfs.NewMemFS()
 	cfg := engine.Config{FS: fs, PoolSize: 512, TreeBudget: 1024}
 	db, err := engine.Open(cfg)
@@ -133,11 +135,11 @@ func TestResumeRefusesOldFormat(t *testing.T) {
 		tx.Commit()
 	}
 	opts := Options{SortMemory: 32, CheckpointPages: 2, CheckpointKeys: 200}
-	n := 0
+	seen := 0
 	opts.OnCheckpoint = func(engine.IBPhase) error {
-		if n++; n == 3 {
+		if seen++; seen == n {
 			db.Crash()
-			return fmt.Errorf("crashed after checkpoint %d", n)
+			return fmt.Errorf("crashed after checkpoint %d", seen)
 		}
 		return nil
 	}
@@ -157,9 +159,17 @@ func TestResumeRefusesOldFormat(t *testing.T) {
 	if len(pending) != 1 || pending[0].State == nil {
 		t.Fatalf("pending builds = %+v, want one checkpointed build", pending)
 	}
+	return db2, pending[0]
+}
+
+func TestResumeRefusesOldFormat(t *testing.T) {
+	// A build checkpointed before prefix-delta runs became the only format
+	// carries untagged sort or merge states. Resume must refuse them with
+	// extsort.ErrOldFormat rather than decode the runs as the new format.
+	db, pb := checkpointedSFBuild(t, 3)
 	// The retired encodings are the tagged ones minus their leading u32
 	// sentinel.
-	st := pending[0].State
+	st := pb.State
 	switch st.Phase {
 	case engine.IBPhaseScan:
 		st.SortState = st.SortState[4:]
@@ -168,7 +178,30 @@ func TestResumeRefusesOldFormat(t *testing.T) {
 	default:
 		t.Fatalf("checkpoint in phase %v carries no run state", st.Phase)
 	}
-	if _, err := Resume(db2, pending[0], Options{SortMemory: 32}); !errors.Is(err, extsort.ErrOldFormat) {
+	if _, err := Resume(db, pb, Options{SortMemory: 32}); !errors.Is(err, extsort.ErrOldFormat) {
 		t.Fatalf("resume of a %v-phase old-format state: got %v, want extsort.ErrOldFormat", st.Phase, err)
+	}
+}
+
+func TestResumeRefusesPartitionedSortState(t *testing.T) {
+	// A scan checkpoint of the retired partitioned sort began with the
+	// sentinel 0xffff_fffe, then the run-file prefix and one sort state per
+	// partition. Its runs were named <prefix>-pN-run-*, which no sorter
+	// resumes any more, so Resume must refuse it with extsort.ErrOldFormat.
+	db, pb := checkpointedSFBuild(t, 1)
+	st := pb.State
+	if st.Phase != engine.IBPhaseScan {
+		t.Fatalf("first checkpoint in phase %v, want scan", st.Phase)
+	}
+	part, err := extsort.DecodeSortState(st.SortState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanPos := part.ScanPos
+	part.ScanPos = nil
+	st.SortState = enc.NewWriter().U32(0xffff_fffe).String32(sortPrefix(pb.Index.ID)).U32(2).
+		Bytes32(part.Encode()).Bytes32(part.Encode()).Bytes32(scanPos).Bytes()
+	if _, err := Resume(db, pb, Options{SortMemory: 32}); !errors.Is(err, extsort.ErrOldFormat) {
+		t.Fatalf("resume of a partitioned sort state: got %v, want extsort.ErrOldFormat", err)
 	}
 }

@@ -16,7 +16,6 @@ func TestOptionsValidate(t *testing.T) {
 		{FillFactor: 0.5},
 		{CheckpointPages: 10, CheckpointKeys: 100},
 		{BatchSize: 1},
-		{ScanWorkers: 8},
 	}
 	for _, o := range valid {
 		if err := o.Validate(); err != nil {
@@ -31,7 +30,6 @@ func TestOptionsValidate(t *testing.T) {
 		{CheckpointPages: -1},
 		{CheckpointKeys: -2},
 		{BatchSize: -64},
-		{ScanWorkers: -4},
 	}
 	for _, o := range invalid {
 		err := o.Validate()
@@ -47,14 +45,14 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.SortMemory != 4096 || o.FillFactor != 0.9 || o.BatchSize != 64 || o.ScanWorkers != 1 {
+	if o.SortMemory != 4096 || o.FillFactor != 0.9 || o.BatchSize != 64 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
 
 func TestBuildRejectsInvalidOptions(t *testing.T) {
 	db, _ := newDB(t, 10)
-	bad := Options{ScanWorkers: -1}
+	bad := Options{SortMemory: -1}
 	if _, err := Build(db, spec("bad_idx", catalog.MethodNSF, false), bad); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("Build err = %v, want ErrInvalidOptions", err)
 	}

@@ -41,7 +41,7 @@ func (b *builder) seedProgress(state *engine.IBState) {
 	}
 	switch state.Phase {
 	case engine.IBPhaseScan:
-		if ss, err := extsort.DecodePartSortState(state.SortState); err == nil {
+		if ss, err := extsort.DecodeSortState(state.SortState); err == nil {
 			if next, end, err := parseScanPosition(ss.ScanPos); err == nil {
 				b.prog.SetTotal(progress.Scan, uint64(end)+1)
 				b.prog.Advance(progress.Scan, uint64(next))
@@ -73,53 +73,27 @@ func mergeProgress(ms *extsort.MergeState) (done, total uint64) {
 	return done, total
 }
 
-// partCapacity splits the configured sort memory across partitions:
-// SortMemory is the build's total in-memory working set, so fanning out
-// does not multiply it.
-func partCapacity(sortMemory, parts int) int {
-	if parts > 1 {
-		sortMemory /= parts
-	}
-	return max(2, sortMemory)
-}
-
-// newSorter creates the build's (possibly partitioned) run sorter with the
-// engine's sort metrics attached. SerialFinish keeps the partition feed
-// inline on the scan goroutine for a deterministic I/O order.
-func (b *builder) newSorter() *extsort.PartSorter {
-	s := extsort.NewPartSorter(b.db.FS(), sortPrefix(b.ix.ID),
-		partCapacity(b.opts.SortMemory, b.opts.SortPartitions),
-		b.opts.SortPartitions, !b.opts.SerialFinish)
+// newSorter creates the build's run sorter with the engine's sort metrics
+// attached.
+func (b *builder) newSorter() *extsort.Sorter {
+	s := extsort.NewSorter(b.db.FS(), sortPrefix(b.ix.ID), b.opts.SortMemory)
 	s.SetMetrics(extsort.MetricsFrom(b.db.Metrics()))
 	return s
 }
 
 // resumeSorter rebuilds the run sorter from a checkpointed sort state. The
-// partition count comes from the durable state (the runs on disk decide),
-// not from the current options; only the tree capacity is re-derived.
-func (b *builder) resumeSorter(sortState []byte) (*extsort.PartSorter, []byte, error) {
-	ss, err := extsort.DecodePartSortState(sortState)
+// tree capacity is not durable state, so it comes from the current options.
+func (b *builder) resumeSorter(sortState []byte) (*extsort.Sorter, []byte, error) {
+	ss, err := extsort.DecodeSortState(sortState)
 	if err != nil {
 		return nil, nil, err
 	}
-	s, scanPos, err := extsort.ResumePartSorter(b.db.FS(), ss,
-		partCapacity(b.opts.SortMemory, len(ss.Parts)), !b.opts.SerialFinish)
+	s, scanPos, err := extsort.ResumeSorterWithCapacity(b.db.FS(), ss, b.opts.SortMemory)
 	if err != nil {
 		return nil, nil, err
 	}
 	s.SetMetrics(extsort.MetricsFrom(b.db.Metrics()))
 	return s, scanPos, nil
-}
-
-// mergeOpts selects the merge's I/O options: run-reader readahead only for
-// the configurations that are concurrent anyway (partitioned sort or
-// merge→load overlap, without SerialFinish), so the default and the
-// fault-injection configurations keep the exact single-goroutine read
-// order they have today.
-func (b *builder) mergeOpts() extsort.MergeOptions {
-	return extsort.MergeOptions{
-		Readahead: !b.opts.SerialFinish && (b.opts.SortPartitions > 1 || b.opts.MergeOverlap),
-	}
 }
 
 // noteMerge records a merge's fan-in and tells the tracker the load phase's

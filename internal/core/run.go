@@ -74,7 +74,7 @@ func Build(db *engine.DB, spec engine.CreateIndexSpec, opts Options) (*Result, e
 // significant part of the overall cost of index build, it would be very
 // beneficial to build multiple indexes in one data scan"). All specs must
 // name the same table and the same method. The shared scan feeds one sorter
-// per index and checkpoints them all at the same drained watermark;
+// per index and checkpoints them all at the same scan position;
 // afterwards each index runs its own steps from the sort on — concurrently
 // ("a process can be spawned for each index to sort the keys, insert them
 // and process the side-file"), or in spec order with SerialFinish. While
@@ -372,7 +372,7 @@ func (b *builder) restore(state *engine.IBState) error {
 		if err != nil {
 			return err
 		}
-		if b.merger, err = extsort.ResumeMergerWith(b.db.FS(), ms, b.mergeOpts()); err != nil {
+		if b.merger, err = extsort.ResumeMerger(b.db.FS(), ms); err != nil {
 			return err
 		}
 		b.st.Runs = len(ms.Runs)
@@ -396,18 +396,15 @@ func (b *builder) restore(state *engine.IBState) error {
 	return nil
 }
 
-// release closes the sorter and merger the steps left open.
+// release closes the merger the steps left open.
 func (b *builder) release() {
-	if b.sorter != nil {
-		b.sorter.Close()
-	}
 	if b.merger != nil {
 		b.merger.Close()
 	}
 }
 
 // scan is the shared scan step: one pass over the table's data pages feeds
-// every builder's sorter through the staged pipeline (pipeline.go) — one
+// every builder's sorter through pipelineScan (pipeline.go) — one
 // builder for Build, one per index for BuildMany (§6.2), each page visited
 // and each record decoded per index exactly once. A fresh scan starts at
 // page 0, a resumed one at its checkpointed position.
@@ -418,8 +415,8 @@ func (b *builder) release() {
 // records in newer pages (§2.3.1) and offline quiesces them. SF must cover
 // every page that exists while Current-RID is still finite, so it chases
 // the file's end (chaseScan) and advances every index's Current-RID in
-// lockstep under the page latch. Every CheckpointPages drained pages each
-// online builder checkpoints the same watermark.
+// lockstep under the page latch. Every CheckpointPages pages each online
+// builder checkpoints the same scan position.
 func scan(bs []*builder) error {
 	b0 := bs[0]
 	h, err := b0.db.HeapOf(b0.tbl.ID)
@@ -464,7 +461,7 @@ func scan(bs []*builder) error {
 			// reported fraction.
 			b.prog.SetTotal(progress.Scan, uint64(hi)+1)
 		}
-		return pipelineScan(h, lo, hi, feeds, b0.opts.ScanWorkers, advance, ckptPages, func(next types.PageNum) error {
+		return pipelineScan(h, lo, hi, feeds, advance, ckptPages, func(next types.PageNum) error {
 			for _, b := range bs {
 				if err := b.checkpointScan(next, hi); err != nil {
 					return err
@@ -498,13 +495,9 @@ func scan(bs []*builder) error {
 	return nil
 }
 
-// checkpointScan commits a scan checkpoint covering exactly the drained
-// watermark [..next). The visitor may have prefetched further and advanced
-// the live Current-RID with it, but recovery must restore the position that
-// matches the sorter state, so resume rescans from next at any worker
-// count. An update between the watermark and the prefetch head that reached
-// the side-file before a crash is re-extracted by the resumed scan and
-// absorbed by duplicate rejection, like the §3.2.2 race-window pages.
+// checkpointScan commits a scan checkpoint covering exactly the scanned
+// pages [..next): the sorter state holds every record of them, and the
+// recorded Current-RID is the first page the resumed scan re-reads.
 func (b *builder) checkpointScan(next, end types.PageNum) error {
 	ss, err := b.sorter.Checkpoint(scanPosition(next, end))
 	if err != nil {
@@ -525,7 +518,7 @@ func (b *builder) finishSort() error {
 		return err
 	}
 	b.st.Runs = len(runs)
-	if b.merger, err = extsort.NewMergerWith(b.db.FS(), runs, nil, b.mergeOpts()); err != nil {
+	if b.merger, err = extsort.NewMerger(b.db.FS(), runs, nil); err != nil {
 		return err
 	}
 	b.noteMerge(runs, nil)

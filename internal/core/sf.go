@@ -20,9 +20,7 @@ import (
 // state) pair every CheckpointKeys keys and verifies adjacent duplicates
 // of a unique index under the §2.2.3 protocol; offline, with the table
 // quiesced, takes no checkpoints and has nothing to re-verify: an adjacent
-// duplicate is a genuine violation. MergeOverlap pipelines the merge with
-// leaf construction (overlap.go) for offline, and for SF when the index is
-// not unique (the held-back verification needs the one-at-a-time loop).
+// duplicate is a genuine violation.
 func (b *builder) load() error {
 	tree, err := b.db.TreeOf(b.ix.ID)
 	if err != nil {
@@ -43,12 +41,7 @@ func (b *builder) load() error {
 	if online {
 		ckptKeys = b.opts.CheckpointKeys
 	}
-	if b.opts.MergeOverlap && !(online && b.ix.Unique) {
-		merged, err = b.loadOverlapped(merged, ckptKeys)
-	} else {
-		merged, err = b.loadSerial(merged, ckptKeys)
-	}
-	if err != nil {
+	if merged, err = b.loadSerial(merged, ckptKeys); err != nil {
 		return err
 	}
 	if err := b.loader.Finish(); err != nil {
@@ -72,8 +65,8 @@ func (b *builder) load() error {
 	return nil
 }
 
-// loadSerial is the one-entry-at-a-time load loop. Returns the absolute
-// number of keys consumed from the merge.
+// loadSerial streams the merge into the loader one entry at a time. Returns
+// the absolute number of keys consumed from the merge.
 func (b *builder) loadSerial(merged uint64, ckptKeys int) (uint64, error) {
 	// For a unique index, the sorted stream makes duplicate key values
 	// adjacent; hold one entry back so a duplicate pair can be verified

@@ -299,14 +299,15 @@ func Scenarios() []*Scenario {
 	sfOpts := core.Options{SortMemory: 64, CheckpointPages: 2, CheckpointKeys: 40}
 	multiOpts := core.Options{SortMemory: 64, CheckpointKeys: 40, SerialFinish: true}
 	sortOpts := core.Options{SortMemory: 4, CheckpointPages: 2, CheckpointKeys: 64, BatchSize: 16}
-	// Partitioned sort + merge→load overlap under SerialFinish: the feed is
-	// inline round-robin and the overlap alternates produce/consume on one
-	// goroutine, so the I/O schedule stays a pure function of the fault
-	// point. SortMemory 24 over 4 partitions = 6 keys of tree per partition,
-	// forcing several runs each; checkpoints land on vector sort states
-	// during the scan and on overlap hand-off points during the load.
-	sortparOpts := core.Options{SortMemory: 24, SortPartitions: 4, MergeOverlap: true,
-		SerialFinish: true, CheckpointPages: 2, CheckpointKeys: 48}
+	// A unique SF index over several runs: a (qty, id) key is out of heap
+	// order, so SortMemory 24 cuts the scan into several runs, and the load
+	// runs the held-back unique loop, whose checkpoints record the merge
+	// position from before the held-back entry (a repositioned multi-run
+	// counter vector). id is unique, so the build never fails on a
+	// duplicate.
+	sortparOpts := core.Options{SortMemory: 24, CheckpointPages: 2, CheckpointKeys: 48}
+	sortparSpec := engine.CreateIndexSpec{Name: "by_qty_id", Table: "items",
+		Columns: []string{"qty", "id"}, Unique: true, Method: catalog.MethodSF}
 	// Prefix compression under run pressure: a (qty, name) key is out of
 	// heap order, so SortMemory 16 cuts the scan into many prefix-delta
 	// runs whose neighbours share the qty and the long "name-..." prefix.
@@ -369,11 +370,11 @@ func Scenarios() []*Scenario {
 			Name:  "sortpar",
 			Rows:  320,
 			Opts:  sortparOpts,
-			Specs: []engine.CreateIndexSpec{nameSpec("by_name", catalog.MethodSF)},
+			Specs: []engine.CreateIndexSpec{sortparSpec},
 			Run: func(db *engine.DB, rids []types.RID) error {
 				opts := sortparOpts
 				opts.OnCheckpoint = observer(db, rids)
-				_, err := core.Build(db, nameSpec("by_name", catalog.MethodSF), opts)
+				_, err := core.Build(db, sortparSpec, opts)
 				return err
 			},
 		},

@@ -56,7 +56,7 @@ type Config struct {
 	// (1 = exhaustive). The final point is always included.
 	Stride int
 	// TornStride, when > 0, adds a torn-crash pass at every TornStride'th
-	// torn-eligible point.
+	// torn-eligible point. The last torn-eligible point is always included.
 	TornStride int
 	// ErrorStride, when > 0, adds an error-injection pass at every
 	// ErrorStride'th point: the op fails with faultfs.ErrInjected, the
@@ -167,17 +167,21 @@ func Sweep(sc *Scenario, cfg Config) (*Report, error) {
 	logf("%s: %d clean crashes verified", sc.Name, rep.Crashes(faultfs.ModeCrash))
 
 	if cfg.TornStride > 0 {
-		i := 0
+		// Like the clean pass, the torn pass always ends on its last point,
+		// however the stride falls: a torn tail of the build's final
+		// commit is where a recovery bug in the closing steps shows.
+		var eligible []uint64
 		for _, ev := range rep.Trace {
-			if (ev.Op != faultfs.OpWriteAt && ev.Op != faultfs.OpSync) || !tornEligible(ev.Name) {
-				continue
+			if (ev.Op == faultfs.OpWriteAt || ev.Op == faultfs.OpSync) && tornEligible(ev.Name) {
+				eligible = append(eligible, ev.K)
 			}
-			if i%cfg.TornStride == 0 {
-				if err := runPoint(faultfs.ModeTorn, ev.K); err != nil {
+		}
+		for i, k := range eligible {
+			if i%cfg.TornStride == 0 || i == len(eligible)-1 {
+				if err := runPoint(faultfs.ModeTorn, k); err != nil {
 					return rep, err
 				}
 			}
-			i++
 		}
 		logf("%s: %d torn crashes verified", sc.Name, rep.Crashes(faultfs.ModeTorn))
 	}

@@ -26,7 +26,7 @@ var legacyTraceHashes = map[string]struct {
 	"nsf":      {235, "54eb67b6770e87900148060219b2a114625f530dcbe31e464f1cc817fdfbd5df"},
 	"sf":       {355, "c2ffb02261379f44a90520c772b7b7de988595389beab07f0e93da0e0b57003d"},
 	"multi":    {381, "cfeb0b71d264dd6d2d3d38b196c6a652df84ebe4b14cc70dd3bcac70aea92181"},
-	"sortpar":  {280, "9adc59764d685d52dd490e3bf5097936e94fb5b5728b3b7ee42e3400213fc0ce"},
+	"sortpar":  {133, "e5b44a8d4d52701d0cd2eaab056605d381f31ac9bc997012d9e107b1384e069f"},
 	"extsort":  {51, "7ab7611647755cade39795df7f75f6305b9a589f0f90180cad39be9c1114e588"},
 	"readpath": {249, "df388ef36e1cb72459775b5edf33bf63b6da9737edc9f79b5dd6745290f8eb71"},
 	"shard2":   {293, "73bf31517047821c09e4b5775736a181ff4f726ca628efa19dab3a0cb137b5ec"},

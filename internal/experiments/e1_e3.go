@@ -27,7 +27,7 @@ func E1BuildTime(cfg Config) error {
 				return err
 			}
 			start := time.Now()
-			res, err := core.Build(db, spec("by_key", method), cfg.buildOptions())
+			res, err := core.Build(db, spec("by_key", method), core.Options{})
 			if err != nil {
 				return err
 			}
@@ -37,15 +37,15 @@ func E1BuildTime(cfg Config) error {
 			}
 			st := res.Stats
 			rows = append(rows, []string{
-				harness.N(uint64(n)), methodName(method), fmt.Sprintf("%d", cfg.workers()),
+				harness.N(uint64(n)), methodName(method),
 				ms(st.ScanSort), ms(st.Insert), ms(st.SideFile), ms(total),
-				fmt.Sprintf("%d", st.Runs), ms(st.Pipeline.ExtractBusy), ms(st.Pipeline.FeedWait),
+				fmt.Sprintf("%d", st.Runs), ms(st.Pipeline.ExtractBusy), ms(st.Pipeline.FeedBusy),
 			})
 		}
 	}
 	cfg.printf("%s\n", harness.Table(
 		"E1  Build time, quiet table (phase breakdown)",
-		[]string{"rows", "method", "workers", "scan+sort ms", "insert ms", "side-file ms", "total ms", "runs", "extract-busy ms", "feed-wait ms"},
+		[]string{"rows", "method", "scan+sort ms", "insert ms", "side-file ms", "total ms", "runs", "extract-busy ms", "feed-busy ms"},
 		rows))
 	return nil
 }

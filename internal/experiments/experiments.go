@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"onlineindex/internal/catalog"
-	"onlineindex/internal/core"
 	"onlineindex/internal/engine"
 	"onlineindex/internal/types"
 	"onlineindex/internal/vfs"
@@ -23,25 +22,10 @@ import (
 )
 
 // Scale trades runtime for fidelity: 1.0 is the default benchmark scale;
-// smaller values shrink table sizes for quick runs. Workers sets
-// core.Options.ScanWorkers for the build-time experiments (0 means the core
-// default of 1), so the staged-pipeline knob is measurable end to end.
+// smaller values shrink table sizes for quick runs.
 type Config struct {
-	Scale   float64
-	Workers int
-	Out     io.Writer
-}
-
-// buildOptions returns the core build options the experiments use.
-func (c Config) buildOptions() core.Options {
-	return core.Options{ScanWorkers: c.Workers}
-}
-
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return 1
-	}
-	return c.Workers
+	Scale float64
+	Out   io.Writer
 }
 
 func (c Config) rows(n int) int {

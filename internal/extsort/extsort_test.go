@@ -431,3 +431,87 @@ func TestLoserTreeTagOrdering(t *testing.T) {
 		t.Fatalf("winner = %q, want z (tag 0 wins)", lt.items[w])
 	}
 }
+
+// mergeRuns merges the runs and returns the output items.
+func mergeRuns(t *testing.T, fs *vfs.MemFS, runs []RunMeta) [][]byte {
+	t.Helper()
+	m, err := NewMerger(fs, runs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var out [][]byte
+	for {
+		it, _, ok, err := m.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, bytes.Clone(it))
+	}
+}
+
+func requireSameOutput(t *testing.T, got, want [][]byte, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d items, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: out[%d] = %q, want %q", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestResumeSorterWithCapacityMidRun exercises the capacity-not-durable
+// path directly: a serial sort checkpointed mid-run resumes with a smaller
+// and then a larger tree than it started with, and the output stays exact.
+func TestResumeSorterWithCapacityMidRun(t *testing.T) {
+	for _, resumeCap := range []int{16, 512} {
+		t.Run(fmt.Sprintf("capacity=%d", resumeCap), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			perm := rand.New(rand.NewSource(5)).Perm(2000)
+			s := NewSorter(fs, "t", 128)
+			for i := 0; i < 1200; i++ {
+				if err := s.Add(item(perm[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := s.Checkpoint([]byte("pos:1200"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs.Crash()
+			fs.Recover()
+
+			s2, scanPos, err := ResumeSorterWithCapacity(fs, st, resumeCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(scanPos) != "pos:1200" {
+				t.Fatalf("scan pos = %q", scanPos)
+			}
+			if s2.capacity != resumeCap {
+				t.Fatalf("capacity = %d, want %d", s2.capacity, resumeCap)
+			}
+			for i := 1200; i < 2000; i++ {
+				if err := s2.Add(item(perm[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runs, err := s2.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := mergeRuns(t, fs, runs)
+			checkSorted(t, out, 2000)
+			for i, o := range out {
+				if string(o) != string(item(i)) {
+					t.Fatalf("out[%d] = %q", i, o)
+				}
+			}
+		})
+	}
+}

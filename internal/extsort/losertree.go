@@ -16,8 +16,8 @@
 // memcmp-comparable index keys of package keyenc.
 //
 // Memory ownership. The sorter copies every item it accepts into a buffer
-// of its own (one per tournament leaf), so Sorter.Add, Sorter.AddOwned and
-// PartSorter.FeedPage keep nothing of the caller's memory once they return.
+// of its own (one per tournament leaf), so Sorter.Add and Sorter.AddOwned
+// keep nothing of the caller's memory once they return.
 // The merge lends its items instead: the slice Merger.Next returns is valid
 // only until the next call to Next on the same Merger, because each run
 // reader alternates between two item buffers. A consumer that keeps an item

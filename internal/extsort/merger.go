@@ -68,25 +68,11 @@ func DecodeMergeState(b []byte) (MergeState, error) {
 	return st, r.Err()
 }
 
-// MergeOptions tunes a merge's I/O behavior without affecting its output.
-type MergeOptions struct {
-	// Readahead double-buffers each input stream behind a prefetch
-	// goroutine so Next never blocks on a vfs read. Off by default: the
-	// deterministic fault-injection harness needs the merge loop itself to
-	// issue every read in a single-goroutine order.
-	Readahead bool
-}
-
 // NewMerger opens a merge over the runs. counters may be nil (merge from the
 // start) or a checkpointed vector: each input is then positioned "so that
 // the next key to be input into the merge from that file would be the key at
 // position k" (§5.2).
 func NewMerger(fs vfs.FS, runs []RunMeta, counters []uint64) (*Merger, error) {
-	return NewMergerWith(fs, runs, counters, MergeOptions{})
-}
-
-// NewMergerWith is NewMerger with explicit I/O options.
-func NewMergerWith(fs vfs.FS, runs []RunMeta, counters []uint64, opts MergeOptions) (*Merger, error) {
 	m := &Merger{runs: runs, counters: make([]uint64, len(runs))}
 	if counters != nil {
 		copy(m.counters, counters)
@@ -102,11 +88,6 @@ func NewMergerWith(fs vfs.FS, runs []RunMeta, counters []uint64, opts MergeOptio
 			m.Close()
 			return nil, err
 		}
-		if opts.Readahead {
-			// Start prefetching after skip so the stream picks up at the
-			// repositioned offset.
-			rd.startPrefetch()
-		}
 		m.readers = append(m.readers, rd)
 	}
 	return m, nil
@@ -114,12 +95,7 @@ func NewMergerWith(fs vfs.FS, runs []RunMeta, counters []uint64, opts MergeOptio
 
 // ResumeMerger reopens a merge from a checkpoint.
 func ResumeMerger(fs vfs.FS, st MergeState) (*Merger, error) {
-	return ResumeMergerWith(fs, st, MergeOptions{})
-}
-
-// ResumeMergerWith reopens a merge from a checkpoint with explicit options.
-func ResumeMergerWith(fs vfs.FS, st MergeState, opts MergeOptions) (*Merger, error) {
-	return NewMergerWith(fs, st.Runs, st.Counters, opts)
+	return NewMerger(fs, st.Runs, st.Counters)
 }
 
 func (m *Merger) start() error {

@@ -110,7 +110,7 @@ func writeRuns(t testing.TB, fs vfs.FS, runs [][][]byte) []RunMeta {
 // checkMergeOrder merges the runs and requires the stable sort of their
 // concatenation in run order: equal items must leave in run order, and
 // every item must name its own run.
-func checkMergeOrder(t testing.TB, runs [][][]byte, opts MergeOptions) {
+func checkMergeOrder(t testing.TB, runs [][][]byte) {
 	t.Helper()
 	fs := vfs.NewMemFS()
 	metas := writeRuns(t, fs, runs)
@@ -121,7 +121,7 @@ func checkMergeOrder(t testing.TB, runs [][][]byte, opts MergeOptions) {
 		}
 	}
 	slices.SortStableFunc(want, func(a, b tagged) int { return bytes.Compare(a.item, b.item) })
-	m, err := NewMergerWith(fs, metas, nil, opts)
+	m, err := NewMerger(fs, metas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMergeOrderMatchesStableSort(t *testing.T) {
 				runs[r] = append(runs[r], orderKey(rng))
 			}
 		}
-		checkMergeOrder(t, runs, MergeOptions{Readahead: trial%2 == 1})
+		checkMergeOrder(t, runs)
 	}
 }
 
@@ -189,7 +189,7 @@ func TestSortOrderMatchesStableSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := mergeRuns(t, fs, runs, MergeOptions{})
+		got := mergeRuns(t, fs, runs)
 		want := slices.Clone(items)
 		slices.SortStableFunc(want, bytes.Compare)
 		requireSameOutput(t, got, want, fmt.Sprintf("trial %d", trial))
@@ -206,29 +206,27 @@ func TestMergerNextBorrowedItems(t *testing.T) {
 		[]byte("abc"), []byte("abc"), []byte("b"), []byte("shared-prefix-16-x"),
 		[]byte("shared-prefix-16-y"), []byte("shared-prefix-16-yy"), []byte("z"),
 	}
-	for _, readahead := range []bool{false, true} {
-		fs := vfs.NewMemFS()
-		metas := writeRuns(t, fs, [][][]byte{slices.Clone(items)})
-		m, err := NewMergerWith(fs, metas, nil, MergeOptions{Readahead: readahead})
+	fs := vfs.NewMemFS()
+	metas := writeRuns(t, fs, [][][]byte{slices.Clone(items)})
+	m, err := NewMerger(fs, metas, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var kept [][]byte
+	prev, _, _, _ := m.Next()
+	for {
+		kept = append(kept, bytes.Clone(prev))
+		next, _, ok, err := m.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var kept [][]byte
-		prev, _, _, _ := m.Next()
-		for {
-			kept = append(kept, bytes.Clone(prev))
-			next, _, ok, err := m.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			prev = next
+		if !ok {
+			break
 		}
-		m.Close()
-		requireSameOutput(t, kept, items, fmt.Sprintf("readahead=%v", readahead))
+		prev = next
 	}
+	requireSameOutput(t, kept, items, "borrowed")
 }
 
 // FuzzTournamentOrder holds both tournaments against the stable sort: the
@@ -259,13 +257,13 @@ func FuzzTournamentOrder(f *testing.F) {
 		}
 		want := slices.Clone(items)
 		slices.SortStableFunc(want, bytes.Compare)
-		requireSameOutput(t, mergeRuns(t, fs, runs, MergeOptions{Readahead: shape&0x80 != 0}), want, "sort")
+		requireSameOutput(t, mergeRuns(t, fs, runs), want, "sort")
 
 		dealt := make([][][]byte, 1+int(shape%5))
 		for i, it := range items {
 			dealt[i%len(dealt)] = append(dealt[i%len(dealt)], it)
 		}
-		checkMergeOrder(t, dealt, MergeOptions{Readahead: shape&0x40 != 0})
+		checkMergeOrder(t, dealt)
 	})
 }
 

@@ -143,9 +143,7 @@ func (w *runWriter) close() error {
 	return w.f.Close()
 }
 
-// runReader streams items from a run file, optionally double-buffering
-// behind a prefetch goroutine (startPrefetch) so the merge never blocks on
-// a vfs read.
+// runReader streams items from a run file through a read buffer.
 type runReader struct {
 	f      vfs.File
 	off    int64
@@ -154,20 +152,7 @@ type runReader struct {
 	count  uint64
 	items  [2][]byte // item buffers, alternated so the last item outlives the next read
 	cur    int       // index into items of the last item returned
-
-	pf     chan pfBlock  // prefetched chunks; nil = synchronous reads
-	pfStop chan struct{} // closed by close() to unstick a blocked send
-	pfFree chan []byte   // consumed chunk buffers recycled to the prefetcher
-	pfEOF  bool          // terminal block consumed; pf yields nothing more
-
-	chunk []byte // synchronous fill's reusable read buffer
-}
-
-// pfBlock is one prefetched chunk, or the stream's terminal error
-// (io.EOF at a clean end of file).
-type pfBlock struct {
-	data []byte
-	err  error
+	chunk  []byte    // fill's reusable read buffer
 }
 
 func openRun(fs vfs.FS, meta RunMeta) (*runReader, error) {
@@ -225,86 +210,10 @@ func (r *runReader) skip(k uint64) error {
 
 const readChunk = 1 << 16
 
-// startPrefetch switches the reader to double-buffered asynchronous reads
-// from its current position: a goroutine stays up to two chunks ahead of
-// consumption, so by the time fill needs bytes they are usually already
-// in the channel. Call at most once, after any skip repositioning.
-func (r *runReader) startPrefetch() {
-	r.pf = make(chan pfBlock, 2)
-	r.pfStop = make(chan struct{})
-	// Chunk buffers cycle between the prefetcher and fill: two may sit in
-	// the pf channel and one may just have been consumed, so three buffers
-	// cover the steady state with no per-chunk allocation.
-	r.pfFree = make(chan []byte, 3)
-	go func(off int64) {
-		defer close(r.pf)
-		stalls := 0
-		for {
-			var chunk []byte
-			select {
-			case chunk = <-r.pfFree:
-				chunk = chunk[:readChunk]
-			default:
-				chunk = make([]byte, readChunk)
-			}
-			m, err := r.f.ReadAt(chunk, off)
-			off += int64(m)
-			if m > 0 {
-				stalls = 0
-				select {
-				case r.pf <- pfBlock{data: chunk[:m]}:
-				case <-r.pfStop:
-					return
-				}
-			}
-			if err == nil {
-				if m == 0 {
-					if stalls++; stalls >= noProgressLimit {
-						err = fmt.Errorf("%w: %s at offset %d", ErrNoProgress, r.f.Name(), off)
-					} else {
-						continue
-					}
-				} else {
-					continue
-				}
-			}
-			// A partial chunk's EOF arrives as its own terminal block, after
-			// the data block above, so fill sees data and end separately.
-			select {
-			case r.pf <- pfBlock{err: err}:
-			case <-r.pfStop:
-			}
-			return
-		}
-	}(r.bufOff + int64(len(r.rdbuf)))
-}
-
 // fill appends at least one more byte to rdbuf or reports why it cannot:
 // io.EOF at a clean end of file, ErrNoProgress after repeated empty
 // errorless reads, any other error verbatim.
 func (r *runReader) fill() error {
-	if r.pf != nil {
-		if r.pfEOF {
-			return io.EOF
-		}
-		blk, ok := <-r.pf
-		if !ok {
-			r.pfEOF = true
-			return io.EOF
-		}
-		if blk.err != nil {
-			r.pfEOF = true
-			return blk.err
-		}
-		r.rdbuf = append(r.rdbuf, blk.data...)
-		// The chunk's bytes are copied out; hand the buffer back to the
-		// prefetcher. A full free list just means the buffer is dropped.
-		select {
-		case r.pfFree <- blk.data[:cap(blk.data)]:
-		default:
-		}
-		return nil
-	}
 	if r.chunk == nil {
 		r.chunk = make([]byte, readChunk)
 	}
@@ -345,13 +254,5 @@ func (r *runReader) read(n int) ([]byte, error) {
 }
 
 func (r *runReader) close() error {
-	if r.pfStop != nil {
-		// Unstick and wait out the prefetcher (channel close is its last
-		// act) so no read races the file close below.
-		close(r.pfStop)
-		for range r.pf {
-		}
-		r.pfStop = nil
-	}
 	return r.f.Close()
 }

@@ -32,7 +32,7 @@ func sortAllSpill(t *testing.T, fs *vfs.MemFS, items [][]byte, capacity int) ([]
 	for _, r := range runs {
 		spilled += r.Bytes
 	}
-	return mergeRuns(t, fs, runs, MergeOptions{}), spilled
+	return mergeRuns(t, fs, runs), spilled
 }
 
 func TestCompressedSortMatchesUncompressed(t *testing.T) {
@@ -95,7 +95,7 @@ func TestCompressedSortCheckpointRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSorted(t, mergeRuns(t, fs, runs, MergeOptions{}), len(all))
+	checkSorted(t, mergeRuns(t, fs, runs), len(all))
 }
 
 // oldSortState encodes st in the retired untagged layout, which began with
@@ -118,13 +118,12 @@ func TestSortStateRefusesOldFormat(t *testing.T) {
 	if _, err := DecodeSortState(old); !errors.Is(err, ErrOldFormat) {
 		t.Fatalf("DecodeSortState of an untagged state: got %v, want ErrOldFormat", err)
 	}
-	if _, err := DecodePartSortState(old); !errors.Is(err, ErrOldFormat) {
-		t.Fatalf("DecodePartSortState of an untagged state: got %v, want ErrOldFormat", err)
-	}
-	multi := enc.NewWriter().U32(partStateMagic).String32("t").U32(2).
-		Bytes32(st.Encode()).Bytes32(old).Bytes32(nil).Bytes()
-	if _, err := DecodePartSortState(multi); !errors.Is(err, ErrOldFormat) {
-		t.Fatalf("DecodePartSortState with an untagged partition: got %v, want ErrOldFormat", err)
+	// The retired partitioned sort state: a sentinel, the prefix, and one
+	// tagged state per partition.
+	parted := enc.NewWriter().U32(0xffff_fffe).String32("t").U32(2).
+		Bytes32(st.Encode()).Bytes32(st.Encode()).Bytes32(nil).Bytes()
+	if _, err := DecodeSortState(parted); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("DecodeSortState of a partitioned state: got %v, want ErrOldFormat", err)
 	}
 }
 
@@ -202,19 +201,6 @@ func TestRunReaderNoProgressSync(t *testing.T) {
 	_, _, err := r.next()
 	if !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("sync fill: got %v, want ErrNoProgress", err)
-	}
-}
-
-func TestRunReaderNoProgressPrefetch(t *testing.T) {
-	// The same stall through the double-buffered path: the prefetch
-	// goroutine must deliver ErrNoProgress as its terminal block (and then
-	// exit) rather than loop.
-	r := &runReader{f: stuckFile{}}
-	r.startPrefetch()
-	defer r.close()
-	_, _, err := r.next()
-	if !errors.Is(err, ErrNoProgress) {
-		t.Fatalf("prefetch fill: got %v, want ErrNoProgress", err)
 	}
 }
 

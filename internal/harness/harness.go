@@ -14,40 +14,25 @@ import (
 	"onlineindex/internal/types"
 )
 
-// PipelineStats counts the staged scan pipeline's per-stage activity: how
-// far the page visitor ran ahead of the in-order sorter feed, how much
-// extraction work the workers did, and how long the feed had to wait for
-// out-of-order extractions. The builders accumulate one per build so E1's
-// scan/sort phase breakdown stays honest when extraction is parallel (the
-// wall-clock ScanSort timer alone cannot say where the time went).
+// PipelineStats splits a build's scan time by step: key extraction and the
+// sorter feed. The builders accumulate one per build so E1's scan/sort
+// phase breakdown stays honest (the wall-clock ScanSort timer alone cannot
+// say where the time went).
 type PipelineStats struct {
-	// Workers is the extraction worker count the scan ran with.
-	Workers int
-	// PagesPrefetched counts pages the visitor S-latched and copied while
-	// at least one earlier page had not yet been fed to the sorter (0 in
-	// serial mode, where visit and feed alternate on one goroutine).
-	PagesPrefetched uint64
-	// ExtractBusy is the summed busy time of the extraction workers
-	// (exceeds the wall-clock share of extraction when workers > 1).
+	// ExtractBusy is the time spent decoding records and encoding their
+	// sort items.
 	ExtractBusy time.Duration
-	// FeedWait is how long the in-order sorter feed sat blocked waiting
-	// for page extractions to arrive.
+	// FeedWait is how long the sorter feed sat waiting for extracted
+	// pages. The scan extracts and feeds on one goroutine, so it stays 0;
+	// the field remains for readers that report it.
 	FeedWait time.Duration
-	// FeedBusy is how long the in-order feed spent pushing items into the
-	// sorters. With partitioned sorting (core.Options.SortPartitions) the
-	// push becomes a channel hand-off and this collapses, which is the
-	// point: FeedBusy falling while FeedWait holds shows the serial feed
-	// stopped being the bottleneck.
+	// FeedBusy is the time spent pushing items into the sorters.
 	FeedBusy time.Duration
 }
 
 // Merge folds another scan's counters into p (a build may run several scan
 // ranges: checkpointed resumes, the SF end-chasing loop).
 func (p *PipelineStats) Merge(q PipelineStats) {
-	if q.Workers > p.Workers {
-		p.Workers = q.Workers
-	}
-	p.PagesPrefetched += q.PagesPrefetched
 	p.ExtractBusy += q.ExtractBusy
 	p.FeedWait += q.FeedWait
 	p.FeedBusy += q.FeedBusy
@@ -60,8 +45,6 @@ func (p PipelineStats) Export(r *metrics.Registry) {
 	if r == nil {
 		return
 	}
-	r.Gauge("pipeline.workers").Set(int64(p.Workers))
-	r.Counter("pipeline.pages_prefetched").Add(p.PagesPrefetched)
 	r.Counter("pipeline.extract_busy_ns").Add(uint64(p.ExtractBusy))
 	r.Counter("pipeline.feed_wait_ns").Add(uint64(p.FeedWait))
 	r.Counter("pipeline.feed_busy_ns").Add(uint64(p.FeedBusy))

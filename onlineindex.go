@@ -137,14 +137,10 @@ type IndexSpec struct {
 }
 
 // BuildOptions tunes a build; see core.Options for the fields and their
-// defaults. ScanWorkers sets the number of parallel key-extraction workers
-// in the staged scan pipeline (default 1 — serial); SortPartitions fans the
-// sort's run generation out across independent sorters (default 1 —
-// serial); MergeOverlap pipelines the run merge into the index load
-// (default off). Keys have one format, prefix-delta runs and
-// prefix-truncated pages, with no option (see the README's "Key format"
-// note). The zero value is valid; out-of-range fields make the build fail
-// with ErrInvalidBuildOptions.
+// defaults. Keys have one format, prefix-delta runs and prefix-truncated
+// pages, with no option (see the README's "Key format" note). The zero
+// value is valid; out-of-range fields make the build fail with
+// ErrInvalidBuildOptions.
 type BuildOptions = core.Options
 
 // ErrInvalidBuildOptions is wrapped by the error every build entry point

@@ -2,11 +2,13 @@
 # CI entry point. Modes:
 #
 #   ci.sh              check gofmt, build everything, vet, and run the full
-#                      test suite under the race detector (the staged scan
-#                      pipeline is concurrent; -race is the point, not a
-#                      nicety). Runs -short, so the crash sweep covers its
-#                      smoke subset (every 8th clean crash, every 4th torn
-#                      point). Then vets and tests the bench/ module.
+#                      test suite under the race detector (builds run beside
+#                      concurrent updaters and BuildMany finishes its indexes
+#                      concurrently; -race is the point, not a nicety). Runs
+#                      -short, so the crash sweep covers its smoke subset
+#                      (every 8th clean crash and every 4th torn point, each
+#                      pass ending on its last point). Then vets and tests
+#                      the bench/ module.
 #   ci.sh sweep        the exhaustive crash-schedule exploration: every fault
 #                      point of every scenario in clean, torn and error modes,
 #                      plus the fuzz seed corpora. Nightly / on demand.
